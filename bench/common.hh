@@ -103,8 +103,8 @@ banner(const char *id, const char *title, const char *paperClaim)
 /**
  * Host wall-clock stopwatch (monotonic). Simulated results are
  * wall-clock-free by design, but the *cost* of producing them is the
- * whole point of the sharded-engine work — every bench records how
- * long the host spent next to what the simulation measured.
+ * simulator's own performance — every bench records how long the host
+ * spent next to what the simulation measured.
  */
 class WallTimer
 {

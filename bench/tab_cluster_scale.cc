@@ -37,33 +37,18 @@
  *
  * Writes BENCH_cluster_scale.json; `--fast` shrinks the window and
  * sweep for CI smoke use.
- *
- * `--shards N [--threads T]` instead runs the 4-machine sweep on the
- * deterministic parallel engine (sim::ShardedSim, DESIGN.md §11):
- * each machine (and its co-located client population) becomes one
- * shard, cross-machine traffic crosses shards through the fabric's
- * staged records, and the run self-checks that the sharded results
- * are *bit-identical* to the same scenario at --shards 1 — then
- * reports the wall-clock speedup. The speedup floor (>= 3x at 4
- * shards) only applies when the host actually has >= N cores;
- * oversubscribed hosts (CI containers) check a no-collapse floor
- * instead. Writes BENCH_cluster_scale_sharded.json.
  */
 
 #include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common.hh"
 
 #include "net/steering.hh"
 #include "pcie/fabric.hh"
-#include "sim/metrics.hh"
-#include "sim/shard.hh"
 #include "sim/task.hh"
 
 using namespace lynxbench;
@@ -142,8 +127,7 @@ sumCounter(const std::vector<std::unique_ptr<Machine>> &cluster,
     return n;
 }
 
-/** Build one Lynx machine against @p s (a serial simulator, or one
- *  shard of a ShardedSim — the stack is machine-local either way). */
+/** Build one Lynx machine against @p s. */
 std::unique_ptr<Machine>
 buildMachine(sim::Simulator &s, net::Network &nw, int i)
 {
@@ -261,275 +245,12 @@ measure(int machines, double loadFactor, bool fast)
     return c;
 }
 
-// ---------------------------------------------------------------------
-// Sharded mode: the 4-machine sweep on the parallel engine.
-// ---------------------------------------------------------------------
-
-/** One sharded cell: model results + the bit-exactness fingerprint +
- *  the host cost of the run loop. */
-struct ShardedRun
-{
-    Cell c;
-    std::string fp;
-    double wallS = 0;
-};
-
-/**
- * The cluster scenario, partitioned: machine i (Bluefield + GPU +
- * runtime + its own client NIC and open-loop generator) lives on
- * shard i % shards. Clients still route by the consistent-hash ring
- * over *all* machines, so the offered load genuinely crosses shards.
- * The scenario (including the wider 5 us propagation that amortizes
- * the lookahead window) is fixed across shard counts — only the
- * partitioning varies, which is exactly what the fingerprint
- * comparison checks.
- */
-ShardedRun
-measureSharded(int machines, unsigned shards, unsigned threads,
-               double loadFactor, bool fast)
-{
-    sim::ShardedSim ss(shards, threads);
-    net::NetworkConfig ncfg;
-    ncfg.propagation = 5_us;
-    net::Network nw(ss, ncfg);
-
-    std::vector<std::unique_ptr<Machine>> cluster;
-    net::steer::ConsistentHashRing ring;
-    std::vector<std::uint32_t> nodes;
-    for (int i = 0; i < machines; ++i) {
-        sim::ShardedSim::Scope scope(
-            ss, static_cast<unsigned>(i) % shards);
-        cluster.push_back(
-            buildMachine(ss.shard(static_cast<unsigned>(i) % shards),
-                         nw, i));
-        ring.add(static_cast<std::uint64_t>(i));
-        nodes.push_back(cluster.back()->bf->node());
-    }
-
-    const double offered =
-        loadFactor * kMachineCapacityRps * static_cast<double>(machines);
-
-    std::vector<std::unique_ptr<workload::LoadGen>> gens;
-    for (int i = 0; i < machines; ++i) {
-        unsigned home = static_cast<unsigned>(i) % shards;
-        sim::ShardedSim::Scope scope(ss, home);
-        auto &clientNic = nw.addNic("clients" + std::to_string(i));
-        workload::LoadGenConfig lg;
-        lg.nic = &clientNic;
-        lg.target = {nodes[0], 7000};
-        lg.openRate = offered / machines;
-        lg.openPorts = kOpenPorts;
-        lg.logicalClients = kLogicalClients / machines;
-        lg.warmup = fast ? 5_ms : 20_ms;
-        lg.duration = fast ? 30_ms : 100_ms;
-        lg.requestTimeout = kRequestTimeout;
-        lg.slo = kSlo;
-        lg.seed = 11 + static_cast<std::uint64_t>(i);
-        lg.metricsName =
-            "workload.loadgen.m" + std::to_string(i);
-        lg.makeRequest = [](std::uint64_t seq, sim::Rng &) {
-            return payloadFor(seq);
-        };
-        lg.validate = [](const net::Message &resp) {
-            return resp.payload == payloadFor(resp.seq);
-        };
-        lg.routeTarget = [ring, nodes](std::uint64_t clientId) {
-            return net::Address{
-                nodes[static_cast<std::size_t>(ring.route(clientId))],
-                7000};
-        };
-        gens.push_back(std::make_unique<workload::LoadGen>(
-            ss.shard(home), lg));
-        gens.back()->start();
-    }
-
-    WallTimer wall;
-    ss.runUntil(gens[0]->windowEnd() + kRequestTimeout + 10_ms);
-
-    ShardedRun out;
-    out.wallS = wall.seconds();
-    out.c.machines = machines;
-    out.c.loadFactor = loadFactor;
-    out.c.offeredRps = offered;
-
-    sim::Histogram lat;
-    std::ostringstream fp;
-    for (int i = 0; i < machines; ++i) {
-        const workload::LoadGen &g = *gens[static_cast<std::size_t>(i)];
-        out.c.r.rps += g.throughputRps();
-        out.c.r.completed += g.completed();
-        out.c.r.timeouts += g.timeouts();
-        out.c.r.failures += g.validationFailures();
-        out.c.sent += g.sent();
-        out.c.lost += g.lost();
-        out.c.late += g.late();
-        out.c.inFlight += g.openInFlight();
-        out.c.goodput += g.goodput();
-        lat.merge(g.latency());
-        fp << "m" << i << " sent=" << g.sent()
-           << " completed=" << g.completed()
-           << " failed=" << g.windowValidationFailures()
-           << " late=" << g.late() << " lost=" << g.lost()
-           << " inflight=" << g.openInFlight()
-           << " stale=" << g.staleResponses() << "\n";
-        const sim::Histogram &h = g.latency();
-        fp << "m" << i << " lat count=" << h.count()
-           << " min=" << h.min() << " max=" << h.max()
-           << " sum=" << h.sum() << " p50=" << h.percentile(50)
-           << " p99=" << h.percentile(99) << "\n";
-    }
-    out.c.conserved = true;
-    for (const auto &g : gens)
-        out.c.conserved = out.c.conserved && g->conservationHolds();
-    out.c.r.meanUs = lat.mean() / 1000.0;
-    out.c.r.p50us = sim::toMicroseconds(lat.percentile(50));
-    out.c.r.p90us = sim::toMicroseconds(lat.percentile(90));
-    out.c.r.p99us = sim::toMicroseconds(lat.percentile(99));
-    out.c.shed = sumCounter(cluster, &core::Dispatcher::admissionStats,
-                            "shed_ring_full");
-    out.c.admitted = sumCounter(
-        cluster, &core::Dispatcher::admissionStats, "admitted");
-    out.c.serverDrops = out.c.shed;
-    for (const char *drop :
-         {"dropped_oversized", "dropped_no_tag", "dropped_ring_full",
-          "dropped_transport", "dropped_no_live_queue",
-          "dropped_tenant_reject"})
-        out.c.serverDrops +=
-            sumCounter(cluster, &core::Dispatcher::stats, drop);
-
-    fp << "now=" << ss.shard(0).now() << "\n";
-    sim::mergedJson(fp,
-                    sim::mergeRegistries(ss.registries(), "sim.shard"));
-    out.fp = fp.str();
-    return out;
-}
-
-/** The --shards entry point: bit-exactness vs --shards 1, then the
- *  core-gated wall-clock speedup floor. @return exit code. */
-int
-runSharded(unsigned shards, unsigned threads, bool fast)
-{
-    constexpr int kMachines = 4;
-    const unsigned cores =
-        std::max(1u, std::thread::hardware_concurrency());
-    banner("tab_cluster_scale --shards",
-           "4-machine cluster on the deterministic parallel engine",
-           "extension — sharded execution must be bit-identical to "
-           "--shards 1 and buy wall-clock on real cores");
-    std::printf("  shards %u, worker threads %u (%u cores)\n\n",
-                shards, threads ? threads : std::min(shards, cores),
-                cores);
-
-    BenchJson json("cluster_scale_sharded");
-    bool ok = true;
-    auto fail = [&](const char *what) {
-        std::fprintf(stderr, "FAIL: %s\n", what);
-        ok = false;
-    };
-
-    double wallBase = 0, wallSharded = 0;
-    std::printf("  %-5s %-7s %10s %8s %8s %9s %9s %8s\n", "load",
-                "shards", "tput/s", "p50us", "p99us", "wall_s",
-                "speedup", "exact");
-    for (double f : {0.6, 1.5}) {
-        ShardedRun base = measureSharded(kMachines, 1, 1, f, fast);
-        ShardedRun run =
-            measureSharded(kMachines, shards, threads, f, fast);
-        bool exact = base.fp == run.fp;
-        double speedup = base.wallS / run.wallS;
-        wallBase += base.wallS;
-        wallSharded += run.wallS;
-        std::printf("  %-5.2f %-7d %10.0f %8.1f %8.1f %9.3f %9s %8s\n",
-                    f, 1, base.c.r.rps, base.c.r.p50us, base.c.r.p99us,
-                    base.wallS, "-", "-");
-        std::printf("  %-5.2f %-7u %10.0f %8.1f %8.1f %9.3f %8.2fx %8s\n",
-                    f, shards, run.c.r.rps, run.c.r.p50us,
-                    run.c.r.p99us, run.wallS, speedup,
-                    exact ? "yes" : "NO");
-        for (const ShardedRun *sr : {&base, &run}) {
-            json.addRow(
-                {{"load_factor", f},
-                 {"shards", sr == &base ? 1 : static_cast<int>(shards)},
-                 {"threads",
-                  sr == &base ? 1 : static_cast<int>(threads)},
-                 {"tput_rps", sr->c.r.rps},
-                 {"p50_us", sr->c.r.p50us},
-                 {"p99_us", sr->c.r.p99us},
-                 {"completed", sr->c.r.completed},
-                 {"sent", sr->c.sent},
-                 {"lost", sr->c.lost},
-                 {"shed", sr->c.shed},
-                 {"conserved", sr->c.conserved},
-                 {"wall_s", sr->wallS},
-                 {"bit_exact_vs_shards1", exact},
-                 {"cores", static_cast<int>(cores)}});
-        }
-        if (!exact)
-            fail("sharded run is not bit-identical to --shards 1");
-        for (const ShardedRun *sr : {&base, &run}) {
-            if (!sr->c.conserved)
-                fail("open-loop conservation ledger does not balance");
-            if (sr->c.inFlight != 0)
-                fail("requests still in flight after the drain "
-                     "horizon");
-            if (sr->c.r.failures != 0)
-                fail("response bytes corrupted (validation failures)");
-        }
-        if (run.c.r.completed == 0)
-            fail("sharded cluster completed no requests");
-    }
-
-    double speedup = wallBase / wallSharded;
-    // The parallel-speedup claim needs the parallelism to exist: on a
-    // host with >= `shards` cores the 4-shard sweep must run >= 3x
-    // faster than --shards 1; an oversubscribed host can only be held
-    // to not collapsing under barrier + mailbox overhead.
-    double floor;
-    const char *policy;
-    if (cores >= shards && shards >= 4) {
-        floor = 3.0;
-        policy = "full (>= 4 real cores)";
-    } else if (cores >= shards && shards >= 2) {
-        floor = 1.4;
-        policy = "partial (real cores, < 4 shards)";
-    } else {
-        floor = 0.35;
-        policy = "no-collapse only (oversubscribed host)";
-    }
-    std::printf("\n  aggregate speedup %.2fx vs --shards 1 "
-                "(floor %.2fx, policy: %s)\n",
-                speedup, floor, policy);
-    json.addRow({{"metric", "aggregate_speedup"},
-                 {"value", speedup},
-                 {"min_accepted", floor},
-                 {"policy", policy},
-                 {"cores", static_cast<int>(cores)}});
-    if (speedup < floor)
-        fail("sharded wall-clock speedup below the floor");
-
-    if (ok)
-        std::printf("\n  self-check OK: bit-identical to --shards 1, "
-                    "ledger exact, speedup policy satisfied\n");
-    return ok ? 0 : 1;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    bool fast = false;
-    unsigned shards = 0, threads = 0;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--fast") == 0)
-            fast = true;
-        else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc)
-            shards = static_cast<unsigned>(std::atoi(argv[++i]));
-        else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc)
-            threads = static_cast<unsigned>(std::atoi(argv[++i]));
-    }
-    if (shards > 0)
-        return runSharded(shards, threads, fast);
+    bool fast = argc > 1 && std::strcmp(argv[1], "--fast") == 0;
     banner("tab_cluster_scale",
            "cluster scale-out with RSS steering + admission control "
            "(extension)",

@@ -10,18 +10,6 @@
  *
  * Delivery preserves per-(src,dst) FIFO order because latency is
  * deterministic for a given size and events tie-break FIFO.
- *
- * Sharded mode (DESIGN.md §11): constructed over a sim::ShardedSim,
- * the fabric is the inter-shard boundary. Every cross-machine message
- * — even between machines that happen to share a shard — travels as a
- * posted record keyed by (srcNode, dstNode, per-pair seq) and is
- * judged (loss, faults, congestion admission) at the *destination*
- * shard's staging drain with order-free keyed randomness, so results
- * are bit-identical for any shard/thread count. The serial path above
- * is untouched (golden-timestamp discipline); serial and sharded are
- * each deterministic but sample different fault/loss paths, so golden
- * cross-checks compare sharded runs against sharded (shards=1
- * included), never against serial.
  */
 
 #ifndef LYNX_NET_NETWORK_HH
@@ -40,10 +28,6 @@
 #include "sim/simulator.hh"
 #include "sim/stats.hh"
 #include "sim/time.hh"
-
-namespace lynx::sim {
-class ShardedSim;
-}
 
 namespace lynx::net {
 
@@ -89,32 +73,22 @@ class Network
         sim_.metrics().add("net.ecn", ecnStats_);
     }
 
-    /**
-     * Sharded fabric over @p ss (defined in network.cc): registers
-     * per-shard "net.fabric"/"net.ecn" StatSets — the base sets stay
-     * unregistered so merged snapshots see one clean path each — and
-     * reports the fabric's wire latency (and the CNP control delay
-     * when DCQCN is on) as lookahead constraints.
-     */
-    explicit Network(sim::ShardedSim &ss, NetworkConfig cfg = {});
-
-    ~Network();
+    ~Network()
+    {
+        sim_.metrics().remove(stats_);
+        sim_.metrics().remove(ecnStats_);
+    }
 
     Network(const Network &) = delete;
     Network &operator=(const Network &) = delete;
 
     /**
      * Attach a new node to the fabric.
-     * @return its NIC; the node id is the attach order. In sharded
-     * mode the node is homed to the shard entered on this thread
-     * (ShardedSim::Scope): its NIC, endpoints, and metrics live on
-     * that shard's simulator.
+     * @return its NIC; the node id is the attach order.
      */
     Nic &
     addNic(const std::string &name, NicConfig cfg = {})
     {
-        if (ss_)
-            return addNicSharded(name, cfg);
         auto node = static_cast<std::uint32_t>(nics_.size());
         nics_.push_back(std::make_unique<Nic>(sim_, *this, name, node, cfg));
         return *nics_.back();
@@ -141,10 +115,6 @@ class Network
     {
         LYNX_DEBUG_ASSERT(m.dst.node < nics_.size(),
                           "message to unknown node ", m.dst.node);
-        if (ss_) {
-            routeSharded(std::move(m));
-            return;
-        }
         if (cfg_.lossRate > 0.0 && lossRng_.chance(cfg_.lossRate)) {
             cDroppedInFabric_->add();
             return;
@@ -210,10 +180,6 @@ class Network
     {
         LYNX_DEBUG_ASSERT(flowSrc < nics_.size(),
                           "CNP to unknown node ", flowSrc);
-        if (ss_) {
-            sendCnpSharded(congestedNode, flowSrc);
-            return;
-        }
         cCnpSent_->add();
         Nic &src = *nics_[flowSrc];
         sim_.scheduleIn(cfg_.congestion.cnpDelay,
@@ -266,54 +232,7 @@ class Network
 
     sim::Simulator &sim() { return sim_; }
 
-    /** @return whether this fabric runs over a ShardedSim. */
-    bool sharded() const { return ss_ != nullptr; }
-
-    /** @return the sharded engine (nullptr in serial mode). */
-    sim::ShardedSim *shardedSim() { return ss_; }
-
-    /** @return the shard that homes @p node (sharded mode only). */
-    unsigned
-    shardOf(std::uint32_t node) const
-    {
-        LYNX_ASSERT(ss_ && node < shardOf_.size(), "unknown node ", node);
-        return shardOf_[node];
-    }
-
   private:
-    /** Per-shard fabric/ECN counters: every shard judges its own
-     *  inbound traffic, so counters shard with the data they count
-     *  and merge by path at dump time. */
-    struct ShardNetStats
-    {
-        sim::StatSet fabric;
-        sim::StatSet ecn;
-        sim::Counter *routed = nullptr;
-        sim::Counter *droppedInFabric = nullptr;
-        sim::Counter *droppedByFault = nullptr;
-        sim::Counter *partitionDrops = nullptr;
-        sim::Counter *corruptedInFabric = nullptr;
-        sim::Counter *ecnMarked = nullptr;
-        sim::Counter *egressDrops = nullptr;
-        sim::Counter *cnpSent = nullptr;
-        sim::Histogram *queueBytes = nullptr;
-    };
-
-    Nic &addNicSharded(const std::string &name, NicConfig cfg);
-    void routeSharded(Message m);
-    void stagedArrival(Message m, std::uint64_t pairSeq);
-    void sendCnpSharded(std::uint32_t congestedNode, std::uint32_t flowSrc);
-
-    /** Next per-(a, b) record sequence number. The cell is only ever
-     *  advanced by node @p a's home shard (data: the sender; CNPs:
-     *  the congested receiver), so no lock is needed, and sharing one
-     *  counter between both record kinds keeps staging keys unique. */
-    std::uint64_t
-    nextPairSeq(std::uint32_t a, std::uint32_t b)
-    {
-        return pairSeq_[a * nics_.size() + b]++;
-    }
-
     /** Create the egress port feeding @p node (ports_ presized). */
     void
     makePort(std::uint32_t node)
@@ -345,12 +264,6 @@ class Network
     sim::FaultPlan *faults_ = nullptr;
     sim::Rng lossRng_;
     std::vector<std::unique_ptr<Nic>> nics_;
-
-    /** Sharded-mode state (all empty/null in serial mode). */
-    sim::ShardedSim *ss_ = nullptr;
-    std::vector<unsigned> shardOf_;       ///< node -> home shard
-    std::vector<std::uint64_t> pairSeq_;  ///< N*N record seq counters
-    std::vector<std::unique_ptr<ShardNetStats>> shardStats_;
 
     /** Per-destination egress ports, lazily created (only while the
      *  congestion plane is enabled; empty otherwise). */

@@ -168,8 +168,7 @@ class Nic
     /** @return link configuration. */
     const NicConfig &config() const { return cfg_; }
 
-    /** @return the simulator this NIC lives on (in sharded mode: its
-     *  home shard's event loop). */
+    /** @return the simulator this NIC lives on. */
     sim::Simulator &simulator() { return sim_; }
 
     /**

@@ -81,8 +81,6 @@ class FaultPlan
     struct Verdict
     {
         bool drop = false;
-        bool partition = false; ///< drop was a partition hit (set by
-                                ///< judgeKeyed; callers own counters)
         bool corrupt = false;
         Tick delay = 0;
     };
@@ -172,60 +170,6 @@ class FaultPlan
             cDelays_->add();
         }
         return v;
-    }
-
-    /**
-     * Order-free variant of judge() for the sharded engine: the
-     * verdict is a pure function of (plan seed, src, dst, @p key) —
-     * @p key is the caller's per-(src,dst) transfer sequence number —
-     * so it is identical for any partitioning, thread count, or
-     * judging order. Const and counter-free (different shards judge
-     * concurrently); callers account drops/corruptions/delays in
-     * their own per-shard stats, using Verdict::partition to split
-     * partition hits from stochastic drops. The stochastic process is
-     * a different (but equally deterministic) sample path than the
-     * sequential judge() stream — serial and sharded runs of the same
-     * FaultConfig are each bit-reproducible, but not against each
-     * other; golden cross-checks therefore always compare sharded vs
-     * sharded (shards=1 included).
-     */
-    Verdict
-    judgeKeyed(std::uint32_t src, std::uint32_t dst, Tick now,
-               std::uint64_t key) const
-    {
-        Verdict v;
-        if (partitioned(src, dst, now)) {
-            v.drop = true;
-            v.partition = true;
-            return v;
-        }
-        KeyedRng rng(cfg_.seed, src, dst, key);
-        if (cfg_.dropRate > 0.0 && rng.chance(cfg_.dropRate)) {
-            v.drop = true;
-            return v;
-        }
-        if (cfg_.corruptRate > 0.0 && rng.chance(cfg_.corruptRate))
-            v.corrupt = true;
-        if (cfg_.delayRate > 0.0 && rng.chance(cfg_.delayRate))
-            v.delay = static_cast<Tick>(rng.between(
-                static_cast<std::uint64_t>(cfg_.delayMin),
-                static_cast<std::uint64_t>(cfg_.delayMax)));
-        return v;
-    }
-
-    /** Order-free corruptInPlace (see judgeKeyed): byte flips are a
-     *  pure function of (plan seed, @p key). */
-    void
-    corruptKeyed(std::span<std::uint8_t> data, std::uint64_t key) const
-    {
-        if (data.empty())
-            return;
-        KeyedRng rng(cfg_.seed ^ 0xc0ffeeull, key);
-        std::uint64_t flips = 1 + rng.below(4);
-        for (std::uint64_t i = 0; i < flips; ++i) {
-            std::uint64_t pos = rng.below(data.size());
-            data[pos] ^= static_cast<std::uint8_t>(1 + rng.below(255));
-        }
     }
 
     /** Flip 1–4 random bytes of @p data in place (deterministic, from

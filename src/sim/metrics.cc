@@ -116,60 +116,4 @@ MetricsRegistry::json(std::ostream &os) const
     os << "}\n";
 }
 
-namespace {
-
-/** Strip a registry-generated duplicate suffix ("#2", "#3", ...) so
- *  the merged snapshot is independent of *which* registry a fixed
- *  path's duplicates landed in. Two machines both registering
- *  "lynx.runtime" produce {"lynx.runtime", "lynx.runtime#2"} when
- *  they share a registry but {"lynx.runtime", "lynx.runtime"} across
- *  two shards — canonicalizing makes both merge to one summed set. */
-std::string
-canonicalPath(const std::string &path)
-{
-    const std::size_t hash = path.rfind('#');
-    if (hash == std::string::npos || hash + 1 >= path.size())
-        return path;
-    for (std::size_t i = hash + 1; i < path.size(); ++i)
-        if (path[i] < '0' || path[i] > '9')
-            return path;
-    return path.substr(0, hash);
-}
-
-} // namespace
-
-std::map<std::string, StatSet>
-mergeRegistries(const std::vector<const MetricsRegistry *> &regs,
-                const std::string &excludePrefix)
-{
-    std::map<std::string, StatSet> out;
-    for (const MetricsRegistry *reg : regs) {
-        for (const auto &[rawPath, stats] : reg->entries()) {
-            const std::string path = canonicalPath(rawPath);
-            if (!excludePrefix.empty() && path.starts_with(excludePrefix))
-                continue;
-            StatSet &dst = out[path];
-            for (const auto &[name, c] : stats->counters())
-                dst.counter(name).add(c.value());
-            for (const auto &[name, h] : stats->histograms())
-                dst.histogram(name).merge(h);
-        }
-    }
-    return out;
-}
-
-void
-mergedJson(std::ostream &os, const std::map<std::string, StatSet> &merged)
-{
-    os << "{";
-    bool firstSet = true;
-    for (const auto &[path, stats] : merged) {
-        if (!firstSet)
-            os << ",";
-        firstSet = false;
-        jsonStatSet(os, path, stats);
-    }
-    os << "}\n";
-}
-
 } // namespace lynx::sim

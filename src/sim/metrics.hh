@@ -22,7 +22,6 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -69,29 +68,6 @@ class MetricsRegistry
 
     std::vector<Entry> entries_;
 };
-
-/**
- * Merge several registries into one path-keyed snapshot: counters
- * sum, histograms merge. This is the dump shape of a sharded run
- * (sim::ShardedSim), where each shard registers the same component
- * paths — "net.fabric", "net.ecn" — in its own registry. Duplicate
- * suffixes ("lynx.runtime#2") are canonicalized back to their base
- * path before merging, so the snapshot does not depend on which
- * registry each duplicate happened to land in — a 4-machine cluster
- * merges to the same map whether it ran on 1 shard or 4. Paths
- * starting with @p excludePrefix are skipped; sharded dumps exclude
- * "sim.shard", whose execution telemetry (windows, barrier stalls)
- * legitimately varies with shard/thread count while everything else
- * must stay bit-identical.
- */
-std::map<std::string, StatSet>
-mergeRegistries(const std::vector<const MetricsRegistry *> &regs,
-                const std::string &excludePrefix = {});
-
-/** JSON snapshot of a merged map, byte-compatible with
- *  MetricsRegistry::json() — golden tests diff the two directly. */
-void mergedJson(std::ostream &os,
-                const std::map<std::string, StatSet> &merged);
 
 } // namespace lynx::sim
 

@@ -6,36 +6,17 @@
 
 namespace lynx::sim {
 
-namespace {
-
-/** The thread-current pool; instance() falls back to the process-wide
- *  pool when no PoolScope is active on this thread. */
-thread_local Pool *tlsPool = nullptr;
-
-} // namespace
-
 Pool &
 Pool::instance() noexcept
 {
-    if (tlsPool)
-        return *tlsPool;
     // Leak-free: function-local static is destroyed at exit, after
     // (namespace-scope) simulators, and returns every slab.
     static Pool pool;
     return pool;
 }
 
-Pool *
-Pool::exchangeCurrent(Pool *next) noexcept
-{
-    Pool *prev = tlsPool;
-    tlsPool = next;
-    return prev;
-}
-
 Pool::~Pool()
 {
-    absorbRemote();
     for (void *slab : slabs_)
         ::operator delete(slab);
 }
@@ -46,12 +27,10 @@ Pool::allocate(std::size_t n)
     if (n == 0)
         n = 1;
 #if defined(LYNX_POOL_PASSTHROUGH)
-    // Sanitizer lane: no recycling, so ASan sees every lifetime (and
-    // TSan only ever sees the thread-safe system allocator).
+    // Sanitizer lane: no recycling, so ASan sees every lifetime.
     auto *h = static_cast<Header *>(::operator new(n + kHeaderSize));
     h->cls = kOversizeClass;
     h->magic = kMagic;
-    h->owner = 0;
     ++stats_.oversize;
     return h + 1;
 #else
@@ -59,7 +38,6 @@ Pool::allocate(std::size_t n)
         auto *h = static_cast<Header *>(::operator new(n + kHeaderSize));
         h->cls = kOversizeClass;
         h->magic = kMagic;
-        h->owner = 0;
         ++stats_.oversize;
         return h + 1;
     }
@@ -70,22 +48,12 @@ Pool::allocate(std::size_t n)
         ++stats_.freelistHits;
         body = node;
     } else {
-        // Before carving a fresh slab, reclaim blocks other shards
-        // freed back to us since the last window.
-        absorbRemote();
-        if (FreeNode *node = freeLists_[cls]) {
-            freeLists_[cls] = node->next;
-            ++stats_.freelistHits;
-            body = node;
-        } else {
-            body = carveSlab(cls);
-            ++stats_.freshBlocks;
-        }
+        body = carveSlab(cls);
+        ++stats_.freshBlocks;
     }
     auto *h = static_cast<Header *>(body) - 1;
     h->cls = static_cast<std::uint32_t>(cls);
     h->magic = kMagic;
-    h->owner = reinterpret_cast<std::uint64_t>(this);
     return body;
 #endif
 }
@@ -104,47 +72,9 @@ Pool::deallocate(void *p) noexcept
         ::operator delete(h);
         return;
     }
-    auto *owner = reinterpret_cast<Pool *>(h->owner);
     auto *node = static_cast<FreeNode *>(p);
-    if (owner == this) {
-        node->next = freeLists_[h->cls];
-        freeLists_[h->cls] = node;
-        return;
-    }
-    // Cross-pool free (a message payload crossing shards): park the
-    // block on the owner's remote stack. Only legal between pools of
-    // one sharded arena group — in a serial run a foreign owner means
-    // a corrupted header or a stray pointer.
-    LYNX_DEBUG_ASSERT(owner && owner->remoteAllowed(),
-                      "Pool::deallocate: cross-pool free outside a "
-                      "sharded arena group");
-    owner->remoteFree(node);
-}
-
-void
-Pool::remoteFree(FreeNode *node) noexcept
-{
-    node->next = remote_.load(std::memory_order_relaxed);
-    while (!remote_.compare_exchange_weak(node->next, node,
-                                          std::memory_order_release,
-                                          std::memory_order_relaxed)) {
-    }
-}
-
-void
-Pool::absorbRemote() noexcept
-{
-    FreeNode *node = remote_.exchange(nullptr, std::memory_order_acquire);
-    while (node) {
-        FreeNode *next = node->next;
-        auto *h = reinterpret_cast<Header *>(node) - 1;
-        LYNX_DEBUG_ASSERT(h->cls < kClasses,
-                          "Pool::absorbRemote: corrupt remote block");
-        node->next = freeLists_[h->cls];
-        freeLists_[h->cls] = node;
-        ++stats_.remoteFrees;
-        node = next;
-    }
+    node->next = freeLists_[h->cls];
+    freeLists_[h->cls] = node;
 }
 
 void *

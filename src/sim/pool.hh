@@ -12,30 +12,20 @@
  * pointer moves and never touches the system allocator.
  *
  * Every block is preceded by a 16-byte header recording its size
- * class and owning pool, so deallocate(p) needs no size argument —
- * which is what lets pooled coroutine frames use it from
- * `operator delete(void*)`.
+ * class, so deallocate(p) needs no size argument — which is what lets
+ * pooled coroutine frames use it from `operator delete(void*)`.
  *
- * Threading model (sharded simulation, see shard.hh): each shard owns
- * a private Pool arena, and the shard's worker thread installs it as
- * the thread-current pool while the shard runs, so allocations are
- * lock-free by construction. A block freed away from its owning
- * arena (a cross-shard message payload released by the receiver) is
- * parked on the owner's lock-free remote stack and absorbed the next
- * time the owner runs; such cross frees are only legal between pools
- * of one sharded group (remoteAllowed()), which LYNX_DEBUG_ASSERT
- * enforces — in plain serial runs a foreign owner means corruption.
+ * The simulator is single-threaded, so one process-wide pool serves
+ * every simulation and needs no synchronization.
  *
- * In the sanitizer lanes (LYNX_POOL_PASSTHROUGH) every allocation
- * goes straight to the system allocator so ASan keeps seeing
- * use-after-free and leaks at full fidelity (and TSan sees only the
- * already-thread-safe global allocator).
+ * In the sanitizer lane (LYNX_POOL_PASSTHROUGH) every allocation goes
+ * straight to the system allocator so ASan keeps seeing
+ * use-after-free and leaks at full fidelity.
  */
 
 #ifndef LYNX_SIM_POOL_HH
 #define LYNX_SIM_POOL_HH
 
-#include <atomic>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -44,9 +34,7 @@
 
 namespace lynx::sim {
 
-/** Size-classed slab arena. One process-wide instance serves serial
- *  runs; sharded runs install one arena per shard as the
- *  thread-current pool (see instance()). */
+/** Size-classed slab arena; one process-wide instance (instance()). */
 class Pool
 {
   public:
@@ -66,38 +54,16 @@ class Pool
         std::uint64_t oversize = 0;      ///< requests > kMaxBlockSize
         std::uint64_t slabs = 0;         ///< slabs requested from the OS
         std::size_t bytesReserved = 0;   ///< total slab bytes held
-        std::uint64_t remoteFrees = 0;   ///< blocks absorbed from the
-                                         ///< remote stack
     };
 
-    /** @return the thread-current pool: the shard arena installed by
-     *  PoolScope while a shard runs (or is being built/torn down),
-     *  otherwise the process-wide pool. */
+    /** @return the process-wide pool. */
     static Pool &instance() noexcept;
-
-    /** Construct a private arena (a shard's slab pool). The
-     *  process-wide pool is just the one instance() falls back to. */
-    Pool() = default;
 
     /** @return a block of at least @p n bytes, 16-byte aligned. */
     void *allocate(std::size_t n);
 
-    /** Return @p p (a pointer from allocate()) to its owner's free
-     *  list. A free away from the owning pool parks the block on the
-     *  owner's remote stack (sharded groups only). */
+    /** Return @p p (a pointer from allocate()) to its free list. */
     void deallocate(void *p) noexcept;
-
-    /** Drain the remote-free stack onto the free lists. Called by the
-     *  owning shard's thread at window starts, on an allocation miss,
-     *  and at destruction — never concurrently with itself. */
-    void absorbRemote() noexcept;
-
-    /** Mark this pool as part of a sharded arena group: blocks may
-     *  legally be freed from other shards/threads (via the remote
-     *  stack). Off by default — serial runs treat a cross free as
-     *  corruption. */
-    void setRemoteAllowed(bool allowed) { remoteAllowed_ = allowed; }
-    bool remoteAllowed() const { return remoteAllowed_; }
 
     const Stats &stats() const { return stats_; }
 
@@ -107,7 +73,7 @@ class Pool
     Pool &operator=(const Pool &) = delete;
 
   private:
-    friend class PoolScope;
+    Pool() = default;
 
     /** Free-list node, stored in the (dead) block body. */
     struct FreeNode
@@ -119,8 +85,7 @@ class Pool
     {
         std::uint32_t cls;   ///< size-class index, or kOversizeClass
         std::uint32_t magic; ///< corruption / double-free canary
-        std::uint64_t owner; ///< owning Pool (for cross-shard frees);
-                             ///< doubles as 16-byte alignment padding
+        std::uint64_t pad;   ///< keeps block bodies 16-byte aligned
     };
     static_assert(sizeof(Header) == kHeaderSize);
 
@@ -148,39 +113,9 @@ class Pool
 
     void *carveSlab(std::size_t cls);
 
-    /** Park @p node (an already-retired block body) on the remote
-     *  stack. Lock-free MPSC push; any thread may call it. */
-    void remoteFree(FreeNode *node) noexcept;
-
-    /** Exchange the thread-current pool (PoolScope). */
-    static Pool *exchangeCurrent(Pool *next) noexcept;
-
     FreeNode *freeLists_[kClasses] = {};
     std::vector<void *> slabs_;
     Stats stats_;
-    bool remoteAllowed_ = false;
-
-    /** Treiber stack of blocks freed by other threads; pushed with
-     *  CAS, drained wholesale by the owner (exchange(nullptr)). */
-    std::atomic<FreeNode *> remote_{nullptr};
-};
-
-/**
- * RAII: install @p pool as the thread-current pool (what instance()
- * returns on this thread) for the scope's lifetime. Used around shard
- * construction, each shard's share of a window, and teardown.
- */
-class PoolScope
-{
-  public:
-    explicit PoolScope(Pool &pool) : prev_(Pool::exchangeCurrent(&pool)) {}
-    ~PoolScope() { Pool::exchangeCurrent(prev_); }
-
-    PoolScope(const PoolScope &) = delete;
-    PoolScope &operator=(const PoolScope &) = delete;
-
-  private:
-    Pool *prev_;
 };
 
 /**

@@ -111,79 +111,6 @@ class Rng
 };
 
 /**
- * Keyed (stateless) generator: a splitmix64 stream seeded by hashing
- * explicit key words together. Where an Rng's draws depend on global
- * call order, a KeyedRng's depend only on its keys — the property the
- * sharded engine needs so that a per-transfer verdict (loss, fault,
- * delay) is identical no matter how the world is partitioned or which
- * thread judges it. Typical keys: (seed, srcNode, dstNode, per-pair
- * transfer seq).
- */
-class KeyedRng
-{
-  public:
-    KeyedRng(std::uint64_t k0, std::uint64_t k1 = 0, std::uint64_t k2 = 0,
-             std::uint64_t k3 = 0)
-        : x_(k0)
-    {
-        // Absorb each key word through one splitmix64 step so nearby
-        // keys (consecutive seqs) land in unrelated streams.
-        x_ = step(x_ ^ (k1 + 0x9e3779b97f4a7c15ull));
-        x_ = step(x_ ^ (k2 + 0xbf58476d1ce4e5b9ull));
-        x_ = step(x_ ^ (k3 + 0x94d049bb133111ebull));
-    }
-
-    std::uint64_t
-    next()
-    {
-        x_ += 0x9e3779b97f4a7c15ull;
-        return step(x_);
-    }
-
-    /** @return uniform integer in [0, bound). @pre bound > 0. */
-    std::uint64_t
-    below(std::uint64_t bound)
-    {
-        LYNX_ASSERT(bound > 0, "empty range");
-        const std::uint64_t threshold = -bound % bound;
-        for (;;) {
-            std::uint64_t r = next();
-            if (r >= threshold)
-                return r % bound;
-        }
-    }
-
-    /** @return uniform integer in [lo, hi] inclusive. */
-    std::uint64_t
-    between(std::uint64_t lo, std::uint64_t hi)
-    {
-        LYNX_ASSERT(lo <= hi, "inverted range");
-        return lo + below(hi - lo + 1);
-    }
-
-    /** @return uniform double in [0, 1). */
-    double
-    uniform()
-    {
-        return static_cast<double>(next() >> 11) * 0x1.0p-53;
-    }
-
-    /** @return true with probability @p p. */
-    bool chance(double p) { return uniform() < p; }
-
-  private:
-    static std::uint64_t
-    step(std::uint64_t z)
-    {
-        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-        z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-        return z ^ (z >> 31);
-    }
-
-    std::uint64_t x_;
-};
-
-/**
  * Zipf(s) distribution over ranks [0, n): rank k is drawn with
  * probability proportional to 1/(k+1)^s — the skewed-popularity
  * shape of real multi-tenant traffic (a few hot tenants, a long

@@ -183,54 +183,6 @@ Simulator::drainOverflow()
     }
 }
 
-Tick
-Simulator::nextPendingLowerBound() const
-{
-    if (!ready_.empty() || execPos_ < exec_.size())
-        return now_;
-    if (pendingCount_ == 0)
-        return maxTick;
-    Tick best = maxTick;
-    // Level 0 buckets hold exact timestamps within now()'s 64-tick
-    // block; higher levels contribute their bucket's block base (a
-    // valid lower bound for everything filed inside).
-    const std::size_t cur0 = now_ & (kBuckets - 1);
-    if (const std::uint64_t m0 =
-            occupied_[0] & (~std::uint64_t(0) << cur0)) {
-        const std::size_t idx =
-            static_cast<std::size_t>(std::countr_zero(m0));
-        best = (now_ & ~Tick(kBuckets - 1)) | idx;
-    }
-    for (int level = 1; level < kLevels; ++level) {
-        const int shift = kLevelBits * level;
-        const std::size_t cur = (now_ >> shift) & (kBuckets - 1);
-        const std::uint64_t m =
-            occupied_[level] & (~std::uint64_t(0) << cur);
-        if (!m)
-            continue;
-        const std::size_t idx =
-            static_cast<std::size_t>(std::countr_zero(m));
-        const Tick blockMask = (Tick(1) << (shift + kLevelBits)) - 1;
-        const Tick base = (now_ & ~blockMask) | (Tick(idx) << shift);
-        // The block base alone is a valid bound, but a coarse one: a
-        // sharded run skipping idle stretches would crawl across a
-        // high-level block in lookahead-sized windows. The level's
-        // true minimum lives in its first occupied bucket (later
-        // buckets have strictly larger bases than this bucket's last
-        // tick), so scan it — unless the base already can't beat
-        // `best`.
-        if (std::max(base, now_) >= best)
-            continue;
-        Tick levelMin = maxTick;
-        for (const PendingEvent &e : wheel_[level][idx])
-            levelMin = std::min(levelMin, e.when);
-        best = std::min(best, std::max(levelMin, now_));
-    }
-    if (!overflow_.empty())
-        best = std::min(best, overflow_.front().when);
-    return best;
-}
-
 void
 Simulator::runLoop(Tick deadline)
 {

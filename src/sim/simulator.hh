@@ -101,28 +101,6 @@ class Simulator
     }
 
     /**
-     * Schedule @p fn on the *pre lane*: it fires at @p when strictly
-     * before every normally-scheduled event of that tick, regardless
-     * of when either was scheduled. The sharded engine (shard.hh)
-     * uses this for inbound staging drains, so canonically-ordered
-     * cross-shard deliveries land before the tick's local events no
-     * matter how the world is partitioned. Pre events draw from a
-     * separate seq range below kNormalSeqBase, so the wheel's
-     * per-bucket seq sort keeps the contract with zero hot-path cost.
-     * @pre when > now() (a drain is always armed for a future tick).
-     */
-    template <typename F>
-    void
-    schedulePre(Tick when, F &&fn)
-    {
-        LYNX_ASSERT(when > now_, "pre-lane event must be in the future");
-        LYNX_DEBUG_ASSERT(preSeq_ + 1 < kNormalSeqBase,
-                          "pre-lane seq range exhausted");
-        place(PendingEvent{when, preSeq_++, EventFn(std::forward<F>(fn))});
-        ++pendingCount_;
-    }
-
-    /**
      * Run until the calendar drains or stop() is called.
      * @return the final simulated time.
      */
@@ -150,19 +128,6 @@ class Simulator
 
     /** Events currently scheduled but not yet fired. */
     std::uint64_t pendingEvents() const { return pendingCount_; }
-
-    /**
-     * @return a lower bound on the timestamp of the earliest pending
-     * event (maxTick when the calendar is empty). Exact for level-0
-     * wheel buckets and the overflow heap; for a higher wheel level
-     * the first occupied bucket is scanned for its true minimum when
-     * its block base could improve the bound (later buckets at the
-     * same level are strictly later, so one bucket suffices). The
-     * sharded engine's barrier uses this to skip idle windows; a
-     * conservative bound only costs an extra (empty) window, never
-     * correctness.
-     */
-    Tick nextPendingLowerBound() const;
 
     /**
      * @{
@@ -291,16 +256,8 @@ class Simulator
         std::size_t *idxSlot; ///< promise-side back-reference
     };
 
-    /** Normal events draw seqs from kNormalSeqBase upward; pre-lane
-     *  events (schedulePre) draw below it, so the per-bucket seq sort
-     *  fires every pre event of a tick before the tick's normal
-     *  events. 2^32 pre seqs is far beyond any real run (one per
-     *  armed staging tick). */
-    static constexpr std::uint64_t kNormalSeqBase = std::uint64_t(1) << 32;
-
     Tick now_ = 0;
-    std::uint64_t nextSeq_ = kNormalSeqBase;
-    std::uint64_t preSeq_ = 0;
+    std::uint64_t nextSeq_ = 0;
     std::uint64_t eventsExecuted_ = 0;
     std::uint64_t pendingCount_ = 0;
     bool stopped_ = false;

@@ -44,7 +44,7 @@ LoadGen::LoadGen(sim::Simulator &sim, LoadGenConfig cfg)
             static_cast<int>(cfg_.basePort) + cfg_.concurrency,
             ") wraps past 65535 and would alias workers");
     }
-    sim_.metrics().add(cfg_.metricsName, stats_);
+    sim_.metrics().add("workload.loadgen", stats_);
 }
 
 LoadGen::~LoadGen()

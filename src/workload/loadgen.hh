@@ -143,12 +143,6 @@ struct LoadGenConfig
      *  TenantTable enabled. */
     std::uint16_t tenant = 0;
 
-    /** Metrics registration path. Scenarios with several generators
-     *  (one per machine in the sharded cluster runs) give each a
-     *  distinct name so merged snapshots keep them apart instead of
-     *  colliding into "#2"-suffixed duplicates. */
-    std::string metricsName = "workload.loadgen";
-
     std::uint64_t seed = 1;
 };
 

@@ -213,10 +213,11 @@ TEST(TimingWheel, ParkInsideStaleHighLevelBucketThenCascade)
     // [4096, 8191]; the clock parks at 4500). The next advance() must
     // cascade that stale bucket — whose raw block base (4096) is
     // behind the clock — without moving time backwards, and both
-    // events must still fire at their exact ticks. The sharded
-    // engine's window loop hits this shape constantly (mid-block
-    // window deadlines); the debug-assert lanes abort here without
-    // the clamp.
+    // events must still fire at their exact ticks. Any caller that
+    // steps a simulation through successive runUntil() deadlines
+    // (a bench sampling a run in slices, a test driving phases) hits
+    // this shape whenever a deadline lands mid-block; the
+    // debug-assert lanes abort here without the clamp.
     Simulator s;
     std::vector<Tick> at;
     s.schedule(5000, [&] { at.push_back(s.now()); });
