@@ -12,6 +12,7 @@
 #ifndef LYNX_NET_NIC_HH
 #define LYNX_NET_NIC_HH
 
+#include <algorithm>
 #include <coroutine>
 #include <cstdint>
 #include <map>
@@ -40,6 +41,9 @@ class Endpoint
              std::size_t queueDepth)
         : sim_(sim), proto_(proto), port_(port), rx_(sim, queueDepth)
     {}
+
+    /** Disarms a pending deadline timer (see armDeadlineTimer()). */
+    ~Endpoint() { *self_ = nullptr; }
 
     Endpoint(const Endpoint &) = delete;
     Endpoint &operator=(const Endpoint &) = delete;
@@ -73,12 +77,6 @@ class Endpoint
      * message is already queued). Used to build receive-with-timeout
      * without polling; the caller re-checks tryRecv() afterwards.
      */
-    struct ArrivalState
-    {
-        std::coroutine_handle<> h;
-        bool fired = false;
-    };
-
     struct WaitArrivalAwaiter
     {
         Endpoint &ep;
@@ -90,15 +88,9 @@ class Endpoint
         void
         await_suspend(std::coroutine_handle<P> h)
         {
-            auto st = std::make_shared<ArrivalState>();
-            st->h = h;
-            ep.arrivalWaiters_.push_back(st);
-            ep.sim_.scheduleIn(maxWait, [st] {
-                if (!st->fired) {
-                    st->fired = true;
-                    st->h.resume();
-                }
-            });
+            const sim::Tick deadline = ep.sim_.now() + maxWait;
+            ep.arrivalWaiters_.push_back({h, deadline});
+            ep.armDeadlineTimer(deadline);
         }
 
         void await_resume() const {}
@@ -113,25 +105,85 @@ class Endpoint
   private:
     friend class Nic;
 
+    struct ArrivalWaiter
+    {
+        std::coroutine_handle<> h;
+        sim::Tick deadline;
+    };
+
     /** Wake everything parked in waitArrival(). */
     void
     signalArrival()
     {
-        for (auto &st : arrivalWaiters_) {
-            if (!st->fired) {
-                st->fired = true;
-                auto h = st->h;
-                sim_.scheduleIn(0, [h] { h.resume(); });
-            }
+        for (const ArrivalWaiter &w : arrivalWaiters_) {
+            auto h = w.h;
+            sim_.scheduleIn(0, [h] { h.resume(); });
         }
         arrivalWaiters_.clear();
+    }
+
+    /**
+     * Ensure the endpoint's deadline timer fires at or before @p when.
+     * One timer serves every waiter: it is re-armed only for a deadline
+     * earlier than the armed one, so a stream of answered waits with
+     * growing deadlines schedules one event per timeout span, not one
+     * per wait. The event holds self_, not the endpoint, so it may
+     * outlive an unbind.
+     */
+    void
+    armDeadlineTimer(sim::Tick when)
+    {
+        if (when >= timerAt_)
+            return;
+        timerAt_ = when;
+        sim_.schedule(when, [self = self_, when] {
+            if (Endpoint *ep = *self)
+                ep->onDeadlineTimer(when);
+        });
+    }
+
+    /**
+     * Resume the first waiter (in park order) whose deadline has come,
+     * inline, as a per-wait timer event would, and re-arm for the
+     * earliest remaining deadline. After an earlier deadline re-armed,
+     * more than one timer event may be pending: only the one at
+     * timerAt_ clears it, and any of them may wake a due waiter.
+     */
+    void
+    onDeadlineTimer(sim::Tick when)
+    {
+        if (when == timerAt_)
+            timerAt_ = sim::maxTick;
+        std::coroutine_handle<> due;
+        sim::Tick next = sim::maxTick;
+        for (auto it = arrivalWaiters_.begin(); it != arrivalWaiters_.end();) {
+            if (!due && it->deadline <= sim_.now()) {
+                due = it->h;
+                it = arrivalWaiters_.erase(it);
+            } else {
+                next = std::min(next, it->deadline);
+                ++it;
+            }
+        }
+        if (next != sim::maxTick)
+            armDeadlineTimer(next);
+        // Last: the resumed coroutine may unbind this endpoint.
+        if (due)
+            due.resume();
     }
 
     sim::Simulator &sim_;
     Protocol proto_;
     std::uint16_t port_;
     sim::Channel<Message> rx_;
-    std::vector<std::shared_ptr<ArrivalState>> arrivalWaiters_;
+    std::vector<ArrivalWaiter> arrivalWaiters_;
+
+    /** When the earliest pending deadline timer fires (maxTick: none). */
+    sim::Tick timerAt_ = sim::maxTick;
+
+    /** Liveness token shared with pending timer events; cleared by the
+     *  destructor. */
+    std::shared_ptr<Endpoint *> self_ = std::make_shared<Endpoint *>(this);
     std::uint64_t dropped_ = 0;
 };
 

@@ -15,13 +15,21 @@
  * real polling would have cost. (Real hardware polls; the simulation
  * is event-driven. This "virtual polling" keeps timing faithful
  * without generating unbounded idle events; see DESIGN.md.)
+ *
+ * A write's notification cost is O(log W + hits) in the number W of
+ * watchpoints: one accelerator's memory carries three per mqueue, so
+ * a 240-mqueue server must not scan all 720 on every doorbell.
  */
 
 #ifndef LYNX_PCIE_MEMORY_HH
 #define LYNX_PCIE_MEMORY_HH
 
+#include <sys/mman.h>
+
+#include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -38,8 +46,10 @@ class DeviceMemory
     using WriteWatcher = std::function<void(std::uint64_t off,
                                             std::uint64_t len)>;
 
+    /** Backed by anonymous pages: zero-filled by the kernel on first
+     *  touch, so a large BAR costs memory only where it is used. */
     DeviceMemory(std::string name, std::uint64_t size)
-        : name_(std::move(name)), bytes_(size, 0)
+        : name_(std::move(name)), size_(size), bytes_(mapZeroed(size))
     {}
 
     DeviceMemory(const DeviceMemory &) = delete;
@@ -49,14 +59,14 @@ class DeviceMemory
     const std::string &name() const { return name_; }
 
     /** @return region size in bytes. */
-    std::uint64_t size() const { return bytes_.size(); }
+    std::uint64_t size() const { return size_; }
 
     /** Copy @p data into the region at @p off; fires watchpoints. */
     void
     write(std::uint64_t off, std::span<const std::uint8_t> data)
     {
         checkRange(off, data.size());
-        std::copy(data.begin(), data.end(), bytes_.begin() + off);
+        std::copy(data.begin(), data.end(), bytes_.get() + off);
         notify(off, data.size());
     }
 
@@ -65,7 +75,7 @@ class DeviceMemory
     read(std::uint64_t off, std::span<std::uint8_t> out) const
     {
         checkRange(off, out.size());
-        std::copy_n(bytes_.begin() + off, out.size(), out.begin());
+        std::copy_n(bytes_.get() + off, out.size(), out.begin());
     }
 
     /** Write a little-endian 32-bit word. */
@@ -114,7 +124,7 @@ class DeviceMemory
     view(std::uint64_t off, std::uint64_t len) const
     {
         checkRange(off, len);
-        return {bytes_.data() + off, len};
+        return {bytes_.get() + off, len};
     }
 
     /**
@@ -125,7 +135,15 @@ class DeviceMemory
     watch(std::uint64_t off, std::uint64_t len, WriteWatcher fn)
     {
         checkRange(off, len);
-        watchers_.push_back({nextWatchId_, off, len, std::move(fn)});
+        // Ids only grow, so inserting after every equal offset keeps
+        // the index sorted by (off, id).
+        auto pos = std::upper_bound(
+            watchers_.begin(), watchers_.end(), off,
+            [](std::uint64_t o, const Watcher &w) { return o < w.off; });
+        watchers_.insert(pos, {nextWatchId_, off, len,
+                               std::make_shared<const WriteWatcher>(
+                                   std::move(fn))});
+        maxLen_ = std::max(maxLen_, len);
         return nextWatchId_++;
     }
 
@@ -144,30 +162,100 @@ class DeviceMemory
         std::uint64_t id;
         std::uint64_t off;
         std::uint64_t len;
-        WriteWatcher fn;
+        /** Shared so a notify() snapshot keeps it alive across an
+         *  unwatch() by an earlier callback. */
+        std::shared_ptr<const WriteWatcher> fn;
     };
+
+    struct Unmap
+    {
+        std::uint64_t size;
+
+        void
+        operator()(std::uint8_t *p) const noexcept
+        {
+            ::munmap(p, size);
+        }
+    };
+
+    static std::unique_ptr<std::uint8_t[], Unmap>
+    mapZeroed(std::uint64_t size)
+    {
+        if (size == 0)
+            return {nullptr, Unmap{0}};
+        void *p = ::mmap(nullptr, size, PROT_READ | PROT_WRITE,
+                         MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+        LYNX_ASSERT(p != MAP_FAILED, "cannot map ", size,
+                    " bytes of device memory");
+        return {static_cast<std::uint8_t *>(p), Unmap{size}};
+    }
 
     void
     checkRange(std::uint64_t off, std::uint64_t len) const
     {
-        LYNX_ASSERT(off + len <= bytes_.size(),
+        LYNX_ASSERT(off + len <= size_,
                     "access [", off, ", ", off + len, ") out of bounds of ",
-                    name_, " (size ", bytes_.size(), ")");
+                    name_, " (size ", size_, ")");
     }
 
+    /**
+     * Fire, in registration order, every watcher whose range overlaps
+     * [off, off+len). The hits are snapshotted before the first call:
+     * a watcher added by a callback does not fire for this write, and
+     * one removed by an earlier callback still does.
+     */
     void
     notify(std::uint64_t off, std::uint64_t len)
     {
-        // Copy the list first: a watcher may add/remove watchpoints.
-        for (const auto &w : std::vector<Watcher>(watchers_)) {
-            if (off < w.off + w.len && w.off < off + len)
-                w.fn(off, len);
+        // No watched range is longer than maxLen_, so a watcher starting
+        // at or below off - maxLen_ ends at or before off.
+        const auto overlaps = [off, len](const Watcher &w) {
+            return off < w.off + w.len && w.off < off + len;
+        };
+        const auto first = std::partition_point(
+            watchers_.begin(), watchers_.end(),
+            [this, off](const Watcher &w) { return w.off + maxLen_ <= off; });
+        const auto last = std::partition_point(
+            first, watchers_.end(),
+            [off, len](const Watcher &w) { return w.off < off + len; });
+        const auto n =
+            static_cast<std::size_t>(std::count_if(first, last, overlaps));
+        if (n == 0)
+            return;
+
+        // A doorbell write hits one or two watchers: snapshot those on
+        // the stack, and only a wider write on the heap.
+        struct Hit
+        {
+            std::uint64_t id;
+            std::shared_ptr<const WriteWatcher> fn;
+        };
+        constexpr std::size_t kInlineHits = 4;
+        Hit local[kInlineHits];
+        std::vector<Hit> spill(n > kInlineHits ? n : 0);
+        Hit *hits = n > kInlineHits ? spill.data() : local;
+        std::size_t i = 0;
+        for (auto it = first; it != last; ++it) {
+            if (overlaps(*it))
+                hits[i++] = {it->id, it->fn};
         }
+        std::sort(hits, hits + n, [](const Hit &a, const Hit &b) {
+            return a.id < b.id;
+        });
+        for (i = 0; i < n; ++i)
+            (*hits[i].fn)(off, len);
     }
 
     std::string name_;
-    std::vector<std::uint8_t> bytes_;
+    std::uint64_t size_;
+    std::unique_ptr<std::uint8_t[], Unmap> bytes_;
+
+    /** Watchpoints sorted by (off, id). */
     std::vector<Watcher> watchers_;
+
+    /** No watched range is longer: bounds the index search below a
+     *  write. It never shrinks; a stale bound only widens the search. */
+    std::uint64_t maxLen_ = 0;
     std::uint64_t nextWatchId_ = 0;
 };
 

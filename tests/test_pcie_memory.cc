@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -119,6 +120,111 @@ TEST(DeviceMemory, WatcherMayRegisterAnotherWatcher)
     EXPECT_EQ(hits, 1);
     mem.writeU32(4, 1);
     EXPECT_GE(hits, 2);
+}
+
+TEST(DeviceMemory, WatchBoundsAreExactAtBothEnds)
+{
+    pcie::DeviceMemory mem("gpu0", 4096);
+    int hits = 0;
+    mem.watch(100, 16, [&](auto, auto) { ++hits; }); // [100, 116)
+
+    mem.write(96, std::vector<std::uint8_t>(4)); // [96,100): short
+    EXPECT_EQ(hits, 0);
+    mem.write(97, std::vector<std::uint8_t>(4)); // [97,101): one in
+    EXPECT_EQ(hits, 1);
+    mem.write(116, std::vector<std::uint8_t>(4)); // [116,120): short
+    EXPECT_EQ(hits, 1);
+    mem.write(115, std::vector<std::uint8_t>(4)); // [115,119): one in
+    EXPECT_EQ(hits, 2);
+}
+
+TEST(DeviceMemory, WideWriteFiresWatchersInRegistrationOrder)
+{
+    // Registered out of address order, and more of them than a
+    // doorbell write hits, so the snapshot spills off the stack.
+    pcie::DeviceMemory mem("gpu0", 256);
+    const std::vector<std::uint64_t> offs{96, 0, 160, 32, 128, 64};
+    std::vector<std::uint64_t> fired;
+    for (std::uint64_t off : offs)
+        mem.watch(off, 32, [&fired, off](auto, auto) {
+            fired.push_back(off);
+        });
+    mem.write(0, std::vector<std::uint8_t>(192));
+    EXPECT_EQ(fired, offs);
+
+    fired.clear();
+    mem.write(40, std::vector<std::uint8_t>(40)); // [40,80)
+    EXPECT_EQ(fired, (std::vector<std::uint64_t>{32, 64}));
+}
+
+TEST(DeviceMemory, NotifyFiresASnapshotOfTheHits)
+{
+    // The first watcher removes the second and adds a third, all over
+    // the same bytes: the removed one still fires for this write, the
+    // added one does not. The next write sees the new set.
+    pcie::DeviceMemory mem("gpu0", 64);
+    std::vector<char> fired;
+    std::uint64_t second = 0;
+    mem.watch(0, 8, [&](auto, auto) {
+        fired.push_back('a');
+        if (fired.size() == 1) {
+            mem.unwatch(second);
+            mem.watch(0, 8, [&](auto, auto) { fired.push_back('c'); });
+        }
+    });
+    second = mem.watch(0, 8, [&](auto, auto) { fired.push_back('b'); });
+
+    mem.writeU32(0, 1);
+    EXPECT_EQ(fired, (std::vector<char>{'a', 'b'}));
+    fired.clear();
+    mem.writeU32(0, 2);
+    EXPECT_EQ(fired, (std::vector<char>{'a', 'c'}));
+}
+
+TEST(DeviceMemory, UnwatchInTheMiddleOfTheIndex)
+{
+    pcie::DeviceMemory mem("gpu0", 1024);
+    std::vector<int> hits(5, 0);
+    std::vector<std::uint64_t> ids;
+    for (int i = 0; i < 5; ++i) {
+        // The middle watch is the longest: it set the index's search
+        // window, which outlives it.
+        std::uint64_t len = i == 2 ? 256 : 16;
+        ids.push_back(mem.watch(static_cast<std::uint64_t>(i) * 200, len,
+                                [&hits, i](auto, auto) { ++hits[i]; }));
+    }
+    mem.unwatch(ids[2]);
+    for (int i = 0; i < 5; ++i)
+        mem.writeU32(static_cast<std::uint64_t>(i) * 200 + 12, 1);
+    EXPECT_EQ(hits, (std::vector<int>{1, 1, 0, 1, 1}));
+    mem.writeU32(500, 1); // inside the removed range only
+    EXPECT_EQ(hits, (std::vector<int>{1, 1, 0, 1, 1}));
+}
+
+TEST(DeviceMemory, DoorbellAmongManyQueuesFiresOneWatcher)
+{
+    // The Fig. 6 shape: 240 mqueues, each watched at its RX ring, its
+    // txCons word and its TX ring. One doorbell write into one ring
+    // must reach exactly that ring's watcher.
+    constexpr std::uint64_t kQueues = 240;
+    constexpr std::uint64_t kRing = 4096;
+    constexpr std::uint64_t kStride = 2 * kRing + 64;
+    pcie::DeviceMemory mem("gpu0", kQueues * kStride);
+    std::vector<int> hits(3 * kQueues, 0);
+    for (std::uint64_t q = 0; q < kQueues; ++q) {
+        const std::uint64_t base = q * kStride;
+        mem.watch(base, kRing, [&hits, q](auto, auto) { ++hits[3 * q]; });
+        mem.watch(base + kRing, 4,
+                  [&hits, q](auto, auto) { ++hits[3 * q + 1]; });
+        mem.watch(base + kRing + 64, kRing,
+                  [&hits, q](auto, auto) { ++hits[3 * q + 2]; });
+    }
+    for (std::uint64_t q : {0ull, 1ull, 117ull, 239ull}) {
+        std::fill(hits.begin(), hits.end(), 0);
+        mem.writeU32(q * kStride + kRing - 4, 1); // last RX-ring word
+        EXPECT_EQ(std::count(hits.begin(), hits.end(), 1), 1);
+        EXPECT_EQ(hits[3 * q], 1);
+    }
 }
 
 TEST(Fabric, DmaTimeIncludesLatencyAndSerialization)

@@ -29,10 +29,12 @@
 #include "net/network.hh"
 #include "net/nic.hh"
 #include "net/payload.hh"
+#include "pcie/memory.hh"
 #include "sim/event.hh"
 #include "sim/pool.hh"
 #include "sim/simulator.hh"
 #include "sim/task.hh"
+#include "workload/loadgen.hh"
 
 using namespace lynx;
 using namespace lynx::sim::literals;
@@ -194,6 +196,62 @@ TEST(AllocFreeHotPath, SteadyStateEchoEventLoopDoesNotAllocate)
     EXPECT_EQ(probe.completed, kWarmupRounds + kMeasuredRounds);
     EXPECT_EQ(probe.allocsAtWindowEnd - probe.allocsAtWindowStart, 0u)
         << "steady-state echo hot path allocated "
+        << (probe.allocsAtWindowEnd - probe.allocsAtWindowStart)
+        << " times over " << kMeasuredRounds << " round trips";
+#endif
+}
+
+/** The closed-loop client of the load generator and the backend
+ *  listener: recvTimeout() with a deadline far beyond the round trip,
+ *  plus a doorbell write into a watched ring among many, per round. */
+sim::Task
+timedEchoClient(sim::Simulator &s, net::Nic &nic, net::Address target,
+                pcie::DeviceMemory &mem, EchoProbe &probe,
+                const std::vector<std::uint8_t> &request)
+{
+    net::Endpoint &ep = nic.bind(net::Protocol::Udp, 9002);
+    for (int i = 0; i < kWarmupRounds + kMeasuredRounds; ++i) {
+        if (i == kWarmupRounds)
+            probe.allocsAtWindowStart = g_allocCount;
+        net::Message m;
+        m.src = {nic.node(), 9002};
+        m.dst = target;
+        m.payload = request;
+        m.seq = static_cast<std::uint64_t>(i);
+        co_await nic.send(std::move(m));
+        mem.writeU32(static_cast<std::uint64_t>(i % 64) * 256, 1);
+        auto r = co_await workload::recvTimeout(s, ep, 1_ms);
+        if (r && r->payload.size() == request.size())
+            ++probe.completed;
+    }
+    probe.allocsAtWindowEnd = g_allocCount;
+}
+
+TEST(AllocFreeHotPath, SteadyStateTimedEchoAndDoorbellDoNotAllocate)
+{
+#if defined(LYNX_POOL_PASSTHROUGH)
+    GTEST_SKIP() << "pool passthrough lane";
+#else
+    sim::Simulator s;
+    net::Network network(s);
+    net::Nic &client = network.addNic("client");
+    net::Nic &server = network.addNic("server");
+    pcie::DeviceMemory mem("gpu0", 64 * 256);
+    int doorbells = 0;
+    for (std::uint64_t q = 0; q < 64; ++q)
+        mem.watch(q * 256, 128, [&doorbells](auto, auto) { ++doorbells; });
+
+    EchoProbe probe;
+    const std::vector<std::uint8_t> request(64, 0x42);
+    sim::spawn(s, echoServer(server, 7));
+    sim::spawn(s, timedEchoClient(s, client, {server.node(), 7}, mem,
+                                  probe, request));
+    s.run();
+
+    EXPECT_EQ(probe.completed, kWarmupRounds + kMeasuredRounds);
+    EXPECT_EQ(doorbells, kWarmupRounds + kMeasuredRounds);
+    EXPECT_EQ(probe.allocsAtWindowEnd - probe.allocsAtWindowStart, 0u)
+        << "steady-state recvTimeout + doorbell path allocated "
         << (probe.allocsAtWindowEnd - probe.allocsAtWindowStart)
         << " times over " << kMeasuredRounds << " round trips";
 #endif
