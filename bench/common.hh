@@ -230,11 +230,9 @@ class BenchJson
 /** Deployment knobs of an EchoWorld beyond platform/queues. */
 struct EchoOptions
 {
-    /** mqueue write behaviour (coalescing / barrier / RX batching). */
+    /** mqueue write behaviour (coalescing / barrier / RX batching;
+     *  `mq.maxBatch` is also the dispatcher's staging batch). */
     core::SnicMqueueConfig mq;
-
-    /** Dispatcher-side staging batch (1 = per-message pushes). */
-    int dispatchMaxBatch = 1;
 
     /** Partial-batch flush linger (see RuntimeConfig). */
     sim::Tick dispatchFlushLinger =
@@ -306,7 +304,6 @@ class EchoWorld
             serverNode_ = serverHost_->id();
         }
         cfg.mq = opts_.mq;
-        cfg.dispatchMaxBatch = opts_.dispatchMaxBatch;
         cfg.dispatchFlushLinger = opts_.dispatchFlushLinger;
         cfg.forwarder.maxBatch = opts_.forwardMaxBatch;
         cfg.forwarder.adaptivePoll = opts_.adaptivePoll;

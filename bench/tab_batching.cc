@@ -60,7 +60,6 @@ measure(bool batched, std::size_t payload, bool fast)
     opts.payloadBytes = payload;
     if (batched) {
         opts.mq.maxBatch = calibration::snicRxMaxBatch;
-        opts.dispatchMaxBatch = calibration::snicRxMaxBatch;
         opts.forwardMaxBatch = calibration::snicTxMaxBatch;
         opts.adaptivePoll = true;
         opts.gioBurst = true;

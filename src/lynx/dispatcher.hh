@@ -5,13 +5,20 @@
  * the dispatching policy, e.g. load balancing for stateless services,
  * or steering messages to specific queues for stateful ones" (§4.2).
  *
- * With `maxBatch > 1` the dispatcher stages messages per target
- * mqueue and hands them to SnicMqueue::rxPushBatch() in groups, so
- * back-to-back arrivals for the same queue share one coalesced RDMA
- * write and one doorbell. A staged batch is flushed either when it
- * reaches `maxBatch` or when the caller observes the ingress going
- * idle (Runtime::listenLoop flushes when the endpoint backlog drains),
- * so batching never adds latency to an isolated message.
+ * Every request takes one placement path: route() picks a queue from
+ * the flow tuple, place() claims a response tag and pushes, and one
+ * failure rule (pushFailed()) decides between re-dispatch, a counted
+ * drop, and leaving the request to a failover drain. Every failed
+ * request lands in exactly one DropReason counter.
+ *
+ * When a target mqueue coalesces RX writes (SnicMqueueConfig::maxBatch
+ * > 1) the dispatcher stages messages for it and hands them to
+ * SnicMqueue::rxPushBatch() in groups, so back-to-back arrivals for
+ * the same queue share one coalesced RDMA write and one doorbell. A
+ * staged batch is flushed either when it reaches the queue's
+ * `maxBatch` or when the caller observes the ingress going idle
+ * (Runtime::listenLoop flushes when the endpoint backlog drains), so
+ * batching never adds latency to an isolated message.
  */
 
 #ifndef LYNX_LYNX_DISPATCHER_HH
@@ -73,10 +80,6 @@ struct DispatcherConfig
     /** CPU charged per dispatched message. */
     sim::Tick dispatchCpu = 0;
 
-    /** Messages staged per mqueue before a batched RX push; 1 =
-     *  immediate per-message rxPush, exactly the unbatched path. */
-    int maxBatch = 1;
-
     /** Keep a copy of each request payload in its ClientRef while
      *  the request is in flight, so failover can re-queue the work
      *  of a dead mqueue to a surviving one. Off (default) = no copy,
@@ -98,6 +101,23 @@ struct DispatcherConfig
     AdmissionConfig admission = {};
 };
 
+/** Why the dispatcher dropped a request. Every request that fails
+ *  in the dispatch plane lands in exactly one of these. */
+enum class DropReason : std::uint8_t
+{
+    Oversized,    ///< larger than a ring slot
+    NoTag,        ///< the chosen mqueue's tag table was full
+    RingFull,     ///< the chosen mqueue's RX ring was full
+    Transport,    ///< on a failed-over mqueue, no payload retained
+    NoLiveQueue,  ///< every mqueue is dead or transport-failed
+    TenantReject, ///< refused by the TenantTable's SLA admission
+    Shed,         ///< shed by the untenanted occupancy gate
+};
+
+/** Number of DropReason values. */
+inline constexpr std::size_t kDropReasons =
+    static_cast<std::size_t>(DropReason::Shed) + 1;
+
 /** Dispatches one service's ingress traffic to its mqueues. */
 class Dispatcher
 {
@@ -105,28 +125,30 @@ class Dispatcher
     Dispatcher(std::string name, DispatchPolicy policy,
                DispatcherConfig cfg)
         : name_(std::move(name)), policy_(policy), cfg_(cfg),
-          cDroppedOversized_(&stats_.counter("dropped_oversized")),
-          cDroppedNoTag_(&stats_.counter("dropped_no_tag")),
-          cDroppedRingFull_(&stats_.counter("dropped_ring_full")),
-          cDroppedTransport_(&stats_.counter("dropped_transport")),
-          cDroppedNoLive_(&stats_.counter("dropped_no_live_queue")),
           cDispatched_(&stats_.counter("dispatched")),
           cBatchFlushes_(&stats_.counter("batch_flushes")),
           cRequeued_(&stats_.counter("requeued")),
-          cDroppedTenantReject_(
-              &stats_.counter("dropped_tenant_reject")),
           rss_(cfg_.rss),
           cSteerPicks_(&steerStats_.counter("rss_picks")),
           cSteerFallbacks_(&steerStats_.counter("rss_fallbacks")),
-          cAdmitted_(&admissionStats_.counter("admitted")),
-          cShed_(&admissionStats_.counter("shed_ring_full"))
-    {}
-
-    Dispatcher(std::string name, DispatchPolicy policy,
-               sim::Tick dispatchCpu)
-        : Dispatcher(std::move(name), policy,
-                     DispatcherConfig{.dispatchCpu = dispatchCpu})
-    {}
+          cAdmitted_(&admissionStats_.counter("admitted"))
+    {
+        // Registered under the names the benchmarks sum into their
+        // failure accounting; the admission shed lives in the
+        // admission stat set.
+        static constexpr const char *kNames[kDropReasons] = {
+            "dropped_oversized",     "dropped_no_tag",
+            "dropped_ring_full",     "dropped_transport",
+            "dropped_no_live_queue", "dropped_tenant_reject",
+            "shed_ring_full"};
+        for (std::size_t r = 0; r < kDropReasons; ++r) {
+            sim::StatSet &set =
+                r == static_cast<std::size_t>(DropReason::Shed)
+                    ? admissionStats_
+                    : stats_;
+            cDropped_[r] = &set.counter(kNames[r]);
+        }
+    }
 
     Dispatcher(const Dispatcher &) = delete;
     Dispatcher &operator=(const Dispatcher &) = delete;
@@ -140,9 +162,8 @@ class Dispatcher
         queues_.push_back(mq);
         dead_.push_back(0);
         staged_.emplace_back();
-        staged_.back().reserve(
-            cfg_.maxBatch > 1 ? static_cast<std::size_t>(cfg_.maxBatch)
-                              : 0);
+        if (mq->maxBatch() > 1)
+            staged_.back().reserve(mq->maxBatch());
     }
 
     /** @return registered queue count. */
@@ -163,15 +184,13 @@ class Dispatcher
     /** @return whether @p qi is excluded from dispatch. */
     bool queueDead(std::size_t qi) const { return dead_[qi] != 0; }
 
-    /** @return whether in-flight payloads are retained (failover). */
-    bool retainsPayloads() const { return cfg_.retainPayloads; }
-
     /**
      * Dispatch @p msg: pick an mqueue, allocate a response tag for
      * the client, push into the RX ring. Charges CPU on @p core.
      * Full rings / tag tables drop the message (UDP semantics).
-     * With batching on, the message may instead be staged; callers
-     * must eventually flush() (see hasStaged()).
+     * When the target mqueue coalesces RX writes (its maxBatch > 1)
+     * the message may instead be staged; callers must eventually
+     * flush() (see hasStaged()).
      */
     sim::Co<void>
     dispatch(sim::Core &core, net::Message msg)
@@ -192,67 +211,40 @@ class Dispatcher
                 // the runtime is tenant-aware, in the TenantTable's
                 // reject ledger — the client sees a timeout, the
                 // operator sees a number (never a silent loss).
-                cShed_->add();
-                if (cfg_.tenants)
-                    cfg_.tenants->rejectedUntenanted();
+                drop(DropReason::Shed);
                 co_return;
             }
             cAdmitted_->add();
         }
-        std::size_t qi = pickIndex(msg);
+        std::size_t qi = route(msg.src, msg.dst);
         if (qi == kNoQueue) {
-            // Every mqueue is dead or transport-failed: the sentinel
-            // drop keeps "no silent loss" — the request is reported,
-            // not forgotten.
-            cDroppedNoLive_->add();
+            drop(DropReason::NoLiveQueue);
             co_return;
         }
         SnicMqueue &mq = *queues_[qi];
         if (msg.size() > mq.layout().maxPayload()) {
             // Larger than a ring slot: drop like an oversized
             // datagram instead of corrupting the ring.
-            cDroppedOversized_->add();
+            drop(DropReason::Oversized);
             co_return;
         }
-        ClientRef client;
-        client.addr = msg.src;
-        client.proto = msg.proto;
-        client.seq = msg.seq;
-        client.sentAt = msg.sentAt;
-        client.traceId = msg.traceId;
-        // Metadata copy only — without a TenantTable nobody ever
-        // reads it, so the seed path stays bit-identical.
-        client.tenant = msg.tenant;
-        if (cfg_.retainPayloads)
-            client.payload = msg.payload.toVector();
+        ClientRef client = clientOf(msg);
+        if (mq.maxBatch() <= 1) {
+            Outcome o = co_await place(core, qi, msg.payload, client);
+            if (o == Outcome::NoTag)
+                drop(DropReason::NoTag, &client);
+            else if (o == Outcome::RingFull)
+                drop(DropReason::RingFull, &client);
+            co_return;
+        }
         auto tag = mq.allocTag(client);
         if (!tag) {
-            cDroppedNoTag_->add();
-            co_return;
-        }
-        if (cfg_.maxBatch <= 1) {
-            bool ok = co_await mq.rxPush(core, msg.payload, *tag);
-            if (!ok) {
-                auto c = mq.tryReleaseTag(*tag);
-                if (mq.transportDead() && c) {
-                    // The push died on the wire, not on a full ring:
-                    // try a surviving queue right away.
-                    if (co_await redispatch(core, std::move(msg.payload),
-                                            std::move(*c)))
-                        co_return;
-                    cDroppedTransport_->add();
-                    co_return;
-                }
-                cDroppedRingFull_->add();
-                co_return;
-            }
-            cDispatched_->add();
+            drop(DropReason::NoTag, &client);
             co_return;
         }
         staged_[qi].push_back({std::move(msg.payload), *tag});
         ++stagedCount_;
-        if (staged_[qi].size() >=
-            static_cast<std::size_t>(cfg_.maxBatch))
+        if (staged_[qi].size() >= mq.maxBatch())
             co_await flushQueue(core, qi);
     }
 
@@ -270,9 +262,8 @@ class Dispatcher
     bool
     stagedBehindBusyRing() const
     {
-        std::size_t minExcess =
-            static_cast<std::size_t>(cfg_.maxBatch) / 4 + 1;
         for (std::size_t qi = 0; qi < queues_.size(); ++qi) {
+            std::size_t minExcess = queues_[qi]->maxBatch() / 4 + 1;
             if (!staged_[qi].empty() &&
                 queues_[qi]->tagsInFlight() >=
                     staged_[qi].size() + minExcess)
@@ -310,69 +301,30 @@ class Dispatcher
         staged_[qi].clear();
         stagedCount_ -= batch.size();
         for (Staged &s : batch) {
-            auto c = mq.tryReleaseTag(s.tag);
-            if (!c) {
-                cDroppedTransport_->add();
-                continue;
-            }
             if (co_await redispatch(core, std::move(s.payload),
-                                    std::move(*c)))
+                                    mq.releaseTag(s.tag)) ==
+                Outcome::Placed)
                 ++moved;
         }
 
-        // Pushed and unanswered: only re-queueable with retention.
+        // Pushed and unanswered (or still being pushed: a push that
+        // later fails finds its tag gone and leaves the request to
+        // this drain). Only re-queueable with retention.
         for (std::uint32_t tag : mq.allocatedTags()) {
             auto c = mq.tryReleaseTag(tag);
             if (!c)
                 continue;
             if (c->payload.empty() && !cfg_.retainPayloads) {
-                cDroppedTransport_->add();
-                if (cfg_.tenants && c->tenant != 0)
-                    cfg_.tenants->abandoned(c->tenant);
+                drop(DropReason::Transport, &*c);
                 continue;
             }
             net::Payload payload = c->payload;
             if (co_await redispatch(core, std::move(payload),
-                                    std::move(*c)))
+                                    std::move(*c)) == Outcome::Placed)
                 ++moved;
         }
         cRequeued_->add(moved);
         co_return moved;
-    }
-
-    /**
-     * Route one request (an evacuated in-flight one, or a push whose
-     * transport just died) to a live, transport-healthy mqueue with
-     * an immediate (unstaged) push.
-     * @return whether some queue accepted it; false = dropped and
-     * counted under dropped_no_live_queue.
-     */
-    sim::Co<bool>
-    redispatch(sim::Core &core, net::Payload payload, ClientRef client)
-    {
-        for (std::size_t tries = queues_.size(); tries > 0; --tries) {
-            std::size_t qi = pickLive(client);
-            if (qi == kNoQueue)
-                break;
-            SnicMqueue &mq = *queues_[qi];
-            ClientRef c = client;
-            if (cfg_.retainPayloads)
-                c.payload = payload.toVector();
-            auto tag = mq.allocTag(c);
-            if (!tag)
-                continue;
-            if (co_await mq.rxPush(core, payload, *tag)) {
-                cDispatched_->add();
-                co_return true;
-            }
-            mq.tryReleaseTag(*tag);
-            // That queue just failed too; the next iteration skips it
-            // (transportDead) or gives up.
-        }
-        cDroppedNoLive_->add();
-        if (cfg_.tenants && client.tenant != 0)
-            cfg_.tenants->abandoned(client.tenant);
-        co_return false;
     }
 
     sim::StatSet &stats() { return stats_; }
@@ -399,13 +351,6 @@ class Dispatcher
 
     /** @return total messages across all class queues. */
     std::size_t tenantPending() const { return tenantPendingTotal_; }
-
-    /** @return queued messages of one tenant's class. */
-    std::size_t
-    tenantPendingOf(TenantId t) const
-    {
-        return t < classes_.size() ? classes_[t].size() : 0;
-    }
 
     /** Called (if set) whenever the dispatcher leaves work deferred
      *  in a class queue — the Runtime's drain task wakes on it. */
@@ -443,46 +388,24 @@ class Dispatcher
             Pending p = std::move(classes_[t].front());
             classes_[t].pop_front();
             --tenantPendingTotal_;
-            std::size_t qi = pickLive(p.client);
+            std::size_t qi = route(p.client.addr, p.client.dst);
             if (qi == kNoQueue) {
-                cDroppedNoLive_->add();
-                cfg_.tenants->abandoned(p.client.tenant);
+                drop(DropReason::NoLiveQueue, &p.client);
                 continue;
             }
-            SnicMqueue &mq = *queues_[qi];
-            auto tag = mq.allocTag(p.client);
-            if (!tag) {
-                // Tag table full: park at the head of the class (its
-                // FIFO order is preserved) until a release frees one.
-                // The turn served nothing — refund it, or the retry
-                // cadence aliases against the weight pattern and can
-                // starve a class (WrrPicker::unpick).
+            Outcome o = co_await place(core, qi, p.payload, p.client);
+            if (o == Outcome::NoTag || o == Outcome::RingFull) {
+                // Tag table or ring full: park at the head of the
+                // class (its FIFO order is preserved) until a release
+                // or consumption frees capacity. The turn served
+                // nothing — refund it, or the retry cadence aliases
+                // against the weight pattern and can starve a class
+                // (WrrPicker::unpick).
                 classes_[t].push_front(std::move(p));
                 ++tenantPendingTotal_;
                 wrr_.unpick();
                 co_return;
             }
-            bool ok = co_await mq.rxPush(core, p.payload, *tag);
-            if (!ok) {
-                auto c = mq.tryReleaseTag(*tag);
-                if (mq.transportDead() && c) {
-                    // redispatch() itself abandons the tenant's
-                    // in-flight slot on final failure.
-                    if (co_await redispatch(core, std::move(p.payload),
-                                            std::move(*c)))
-                        continue;
-                    cDroppedTransport_->add();
-                    continue;
-                }
-                // Ring genuinely full: park; consumption + tag
-                // release will reopen capacity. Unserved turn —
-                // refund it (see the allocTag park above).
-                classes_[t].push_front(std::move(p));
-                ++tenantPendingTotal_;
-                wrr_.unpick();
-                co_return;
-            }
-            cDispatched_->add();
         }
     }
     /** @} */
@@ -501,11 +424,124 @@ class Dispatcher
         ClientRef client;
     };
 
+    /** How one placement attempt ended. */
+    enum class Outcome : std::uint8_t
+    {
+        Placed,    ///< in a ring (possibly re-dispatched elsewhere)
+        Dropped,   ///< terminal, already counted by drop()
+        NoTag,     ///< tag table full, nothing claimed
+        RingFull,  ///< the ring rejected the push, tag released
+        Evacuated, ///< evacuate() took the tag mid-push and owns it
+    };
+
+    /** Count one dropped request under @p why, and keep the
+     *  TenantTable's ledgers: a shed is an untenanted reject, and an
+     *  admitted tenant request (@p client with a tenant) is abandoned,
+     *  returning its in-flight slot exactly once. */
+    void
+    drop(DropReason why, const ClientRef *client = nullptr)
+    {
+        cDropped_[static_cast<std::size_t>(why)]->add();
+        if (!cfg_.tenants)
+            return;
+        if (why == DropReason::Shed)
+            cfg_.tenants->rejectedUntenanted();
+        else if (client && client->tenant != 0)
+            cfg_.tenants->abandoned(client->tenant);
+    }
+
+    /** The ClientRef of an ingress message: who to answer, the flow
+     *  tuple failover re-routes by, and (with retention) the payload
+     *  failover re-queues. */
+    ClientRef
+    clientOf(const net::Message &msg) const
+    {
+        ClientRef c;
+        c.addr = msg.src;
+        c.dst = msg.dst;
+        c.proto = msg.proto;
+        c.seq = msg.seq;
+        c.sentAt = msg.sentAt;
+        c.traceId = msg.traceId;
+        // Metadata copy only — without a TenantTable nobody ever
+        // reads it, so the seed path stays bit-identical.
+        c.tenant = msg.tenant;
+        if (cfg_.tenants && msg.tenant != 0)
+            c.tenantGen = cfg_.tenants->generation(msg.tenant);
+        if (cfg_.retainPayloads)
+            c.payload = msg.payload.toVector();
+        return c;
+    }
+
+    /**
+     * Place one request on queue @p qi: claim a response tag, push,
+     * and on a failed push apply the one failure rule (pushFailed()).
+     * @p payload is left intact unless the request was re-dispatched,
+     * so a NoTag/RingFull caller may still park it.
+     */
+    sim::Co<Outcome>
+    place(sim::Core &core, std::size_t qi, net::Payload &payload,
+          const ClientRef &client)
+    {
+        SnicMqueue &mq = *queues_[qi];
+        auto tag = mq.allocTag(client);
+        if (!tag)
+            co_return Outcome::NoTag;
+        if (co_await mq.rxPush(core, payload, *tag)) {
+            cDispatched_->add();
+            co_return Outcome::Placed;
+        }
+        co_return co_await pushFailed(core, qi, *tag, payload);
+    }
+
+    /**
+     * The post-push failure rule, shared by single and batched
+     * pushes: release the tag; if it was already gone, evacuate()
+     * owns the request; if the queue's transport died, re-dispatch
+     * to a surviving queue right away; otherwise the ring was full.
+     */
+    sim::Co<Outcome>
+    pushFailed(sim::Core &core, std::size_t qi, std::uint32_t tag,
+               net::Payload &payload)
+    {
+        SnicMqueue &mq = *queues_[qi];
+        auto c = mq.tryReleaseTag(tag);
+        if (!c)
+            co_return Outcome::Evacuated;
+        if (mq.transportDead())
+            co_return co_await redispatch(core, std::move(payload),
+                                          std::move(*c));
+        co_return Outcome::RingFull;
+    }
+
+    /**
+     * Route one request (an evacuated in-flight one, or a push whose
+     * transport just died) to a live, transport-healthy mqueue with
+     * an immediate (unstaged) push.
+     * @return Placed, Evacuated, or Dropped (counted once, under
+     * dropped_no_live_queue, when no queue takes it).
+     */
+    sim::Co<Outcome>
+    redispatch(sim::Core &core, net::Payload payload, ClientRef client)
+    {
+        for (std::size_t tries = queues_.size(); tries > 0; --tries) {
+            std::size_t qi = route(client.addr, client.dst);
+            if (qi == kNoQueue)
+                break;
+            Outcome o = co_await place(core, qi, payload, client);
+            if (o != Outcome::NoTag && o != Outcome::RingFull)
+                co_return o;
+            // That queue is full; try the next pick.
+        }
+        drop(DropReason::NoLiveQueue, &client);
+        co_return Outcome::Dropped;
+    }
+
     sim::Co<void>
     dispatchTenant(sim::Core &core, net::Message msg)
     {
         if (msg.size() > queues_[0]->layout().maxPayload()) {
-            cDroppedOversized_->add();
+            drop(DropReason::Oversized);
             co_return;
         }
         TenantId t = msg.tenant;
@@ -513,23 +549,13 @@ class Dispatcher
             // Admission reject IS the SLA knob: an over-cap (or
             // retired/unknown) tenant's arrival is refused with a
             // counted drop reason, keeping "no silent loss".
-            cDroppedTenantReject_->add();
+            drop(DropReason::TenantReject);
             co_return;
         }
         if (classes_.size() < cfg_.tenants->idSpan())
             classes_.resize(cfg_.tenants->idSpan());
-        Pending p;
-        p.payload = std::move(msg.payload);
-        p.client.addr = msg.src;
-        p.client.proto = msg.proto;
-        p.client.seq = msg.seq;
-        p.client.sentAt = msg.sentAt;
-        p.client.traceId = msg.traceId;
-        p.client.tenant = t;
-        p.client.tenantGen = cfg_.tenants->generation(t);
-        if (cfg_.retainPayloads)
-            p.client.payload = p.payload.toVector();
-        classes_[t].push_back(std::move(p));
+        ClientRef client = clientOf(msg);
+        classes_[t].push_back({std::move(msg.payload), std::move(client)});
         ++tenantPendingTotal_;
         co_await pumpTenants(core);
         if (tenantPendingTotal_ != 0 && backlogHook_)
@@ -544,27 +570,20 @@ class Dispatcher
         std::vector<Staged> batch = std::move(staged_[qi]);
         staged_[qi].clear();
         stagedCount_ -= batch.size();
-        SnicMqueue &mq = *queues_[qi];
         std::vector<SnicMqueue::RxItem> items;
         items.reserve(batch.size());
         for (const Staged &s : batch)
             items.push_back({s.payload, s.tag, 0});
-        std::size_t accepted = co_await mq.rxPushBatch(core, items);
-        bool transport = mq.transportDead();
-        for (std::size_t j = accepted; j < batch.size(); ++j) {
-            auto c = mq.tryReleaseTag(batch[j].tag);
-            if (transport && c) {
-                if (co_await redispatch(core,
-                                        std::move(batch[j].payload),
-                                        std::move(*c)))
-                    continue;
-                cDroppedTransport_->add();
-                continue;
-            }
-            cDroppedRingFull_->add();
-        }
+        std::size_t accepted =
+            co_await queues_[qi]->rxPushBatch(core, items);
         cDispatched_->add(accepted);
         cBatchFlushes_->add();
+        for (std::size_t j = accepted; j < batch.size(); ++j) {
+            if (co_await pushFailed(core, qi, batch[j].tag,
+                                    batch[j].payload) ==
+                Outcome::RingFull)
+                drop(DropReason::RingFull);
+        }
     }
 
     static constexpr std::size_t kNoQueue =
@@ -577,89 +596,51 @@ class Dispatcher
         return dead_[qi] == 0 && !queues_[qi]->transportDead();
     }
 
+    /**
+     * The one routing decision, for ingress and re-queued requests
+     * alike: a policy-chosen home queue for the flow (@p src, @p dst),
+     * then a linear probe over usable queues. All-alive routing is
+     * bit-identical to the seed policies: RoundRobin advances its
+     * cursor once, SourceHash and Rss land on their home queue. A
+     * flow keeps its queue while it is alive and a stable fallback
+     * while it is not. RSS decisions are counted, fallbacks (home
+     * dead) too.
+     * @return the queue index, or kNoQueue when none is usable.
+     */
     std::size_t
-    pickIndex(const net::Message &msg)
+    route(const net::Address &src, const net::Address &dst)
     {
-        // All-alive fast paths are bit-identical to the seed policy:
-        // RoundRobin advances rr_ exactly once, SourceHash probes its
-        // home index first.
+        std::size_t n = queues_.size();
+        std::size_t home = 0;
         switch (policy_) {
           case DispatchPolicy::RoundRobin:
-            for (std::size_t i = 0; i < queues_.size(); ++i) {
-                std::size_t qi = rr_++ % queues_.size();
-                if (usable(qi))
-                    return qi;
-            }
-            return kNoQueue;
-          case DispatchPolicy::SourceHash: {
-            std::uint64_t h = msg.src.node * 0x9e3779b97f4a7c15ull +
-                              msg.src.port * 0x85ebca6bull;
-            // Linear probe from the home queue: a client keeps its
-            // queue while it is alive and lands on a stable fallback
-            // while it is not.
-            for (std::size_t i = 0; i < queues_.size(); ++i) {
-                std::size_t qi = (h + i) % queues_.size();
-                if (usable(qi))
-                    return qi;
-            }
-            return kNoQueue;
-          }
+            home = rr_ % n;
+            break;
+          case DispatchPolicy::SourceHash:
+            home = (src.node * 0x9e3779b97f4a7c15ull +
+                    src.port * 0x85ebca6bull) % n;
+            break;
           case DispatchPolicy::Rss:
-            // pickLive re-routes on failover with the same hash; the
-            // cached dst makes the tuple identical so a surviving
-            // flow keeps one home across both paths.
-            rssDst_ = msg.dst;
-            return probeRss(msg.src, msg.dst);
+            // The real Toeplitz hash over the flow tuple
+            // (net/steering.hh): the queue RSS hardware would pick.
+            home = rss_.pick(src, dst, n);
+            break;
         }
-        return 0;
-    }
-
-    /** pickIndex for requests without an ingress message (failover
-     *  re-queueing): same policies keyed on the stored client. */
-    std::size_t
-    pickLive(const ClientRef &client)
-    {
-        switch (policy_) {
-          case DispatchPolicy::RoundRobin:
-            for (std::size_t i = 0; i < queues_.size(); ++i) {
-                std::size_t qi = rr_++ % queues_.size();
-                if (usable(qi))
-                    return qi;
-            }
-            return kNoQueue;
-          case DispatchPolicy::SourceHash: {
-            std::uint64_t h = client.addr.node * 0x9e3779b97f4a7c15ull +
-                              client.addr.port * 0x85ebca6bull;
-            for (std::size_t i = 0; i < queues_.size(); ++i) {
-                std::size_t qi = (h + i) % queues_.size();
-                if (usable(qi))
-                    return qi;
-            }
-            return kNoQueue;
-          }
-          case DispatchPolicy::Rss:
-            return probeRss(client.addr, rssDst_);
-        }
-        return kNoQueue;
-    }
-
-    /** RSS home queue + linear probe over usable queues. The hash is
-     *  the real Toeplitz over the flow tuple (net/steering.hh), so a
-     *  flow's mqueue matches what RSS hardware would pick; every
-     *  steering decision is counted, fallbacks (home dead) too. */
-    std::size_t
-    probeRss(const net::Address &src, const net::Address &dst)
-    {
-        std::size_t home = rss_.pick(src, dst, queues_.size());
-        for (std::size_t i = 0; i < queues_.size(); ++i) {
-            std::size_t qi = (home + i) % queues_.size();
+        for (std::size_t i = 0; i < n; ++i) {
+            std::size_t qi = (home + i) % n;
             if (!usable(qi))
                 continue;
-            cSteerPicks_->add();
-            if (i != 0)
-                cSteerFallbacks_->add();
+            if (policy_ == DispatchPolicy::RoundRobin)
+                rr_ += i + 1;
+            if (policy_ == DispatchPolicy::Rss) {
+                cSteerPicks_->add();
+                if (i != 0)
+                    cSteerFallbacks_->add();
+            }
             return qi;
         }
+        if (policy_ == DispatchPolicy::RoundRobin)
+            rr_ += n;
         return kNoQueue;
     }
 
@@ -705,30 +686,20 @@ class Dispatcher
     sim::StatSet stats_;
 
     /** Hot-path counters, resolved once at construction. */
-    sim::Counter *cDroppedOversized_;
-    sim::Counter *cDroppedNoTag_;
-    sim::Counter *cDroppedRingFull_;
-    sim::Counter *cDroppedTransport_;
-    sim::Counter *cDroppedNoLive_;
     sim::Counter *cDispatched_;
     sim::Counter *cBatchFlushes_;
     sim::Counter *cRequeued_;
-    sim::Counter *cDroppedTenantReject_;
+    sim::Counter *cDropped_[kDropReasons];
 
     /** RSS steering state (policy Rss only; the table itself is
      *  cheap enough to sit here unconditionally). */
     net::steer::RssSteering rss_;
-    /** Destination of the most recent RSS dispatch, so failover
-     *  re-routing (pickLive has no ingress message) hashes the same
-     *  flow tuple the original decision did. */
-    net::Address rssDst_{};
 
     sim::StatSet steerStats_;
     sim::StatSet admissionStats_;
     sim::Counter *cSteerPicks_;
     sim::Counter *cSteerFallbacks_;
     sim::Counter *cAdmitted_;
-    sim::Counter *cShed_;
 };
 
 } // namespace lynx::core

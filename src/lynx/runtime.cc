@@ -89,9 +89,8 @@ Runtime::addService(ServiceConfig scfg)
     net::Endpoint &ep = cfg_.nic->bind(scfg.proto, scfg.port);
     services_.push_back(std::make_unique<Service>(
         scfg, ep,
-        DispatcherConfig{cfg_.dispatchCpu, cfg_.dispatchMaxBatch,
-                         cfg_.failover.enabled, tenants_.get(),
-                         cfg_.rss, cfg_.admission}));
+        DispatcherConfig{cfg_.dispatchCpu, cfg_.failover.enabled,
+                         tenants_.get(), cfg_.rss, cfg_.admission}));
     Service &svc = *services_.back();
     // The Dispatcher itself carries no Simulator reference; its owner
     // registers the stats on its behalf (removed in ~Runtime).

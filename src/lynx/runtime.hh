@@ -213,17 +213,12 @@ struct RuntimeConfig
     /** Dispatcher CPU per message. */
     sim::Tick dispatchCpu = sim::nanoseconds(500);
 
-    /** Messages the dispatcher stages per mqueue for one coalesced
-     *  RX write (1 = per-message pushes, the unbatched behaviour).
-     *  Staged batches flush when full or when the ingress endpoint's
-     *  backlog drains (after the linger below). */
-    int dispatchMaxBatch = 1;
-
     /** How long a listener lingers before flushing a partial batch
      *  once the ingress backlog is empty — the window in which
      *  concurrent arrivals can join the same coalesced write. Only
-     *  consulted when dispatchMaxBatch > 1; bounds the extra latency
-     *  batching can ever add to a message. */
+     *  consulted when `mq.maxBatch` > 1 (the dispatcher stages that
+     *  many messages per mqueue); bounds the extra latency batching
+     *  can ever add to a message. */
     sim::Tick dispatchFlushLinger = sim::microseconds(2);
 
     /** Forwarding loop knobs. */

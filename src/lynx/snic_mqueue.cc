@@ -79,22 +79,22 @@ SnicMqueue::setTxActivityHandler(std::function<void()> fn)
     txWatchInstalled_ = true;
 }
 
+template <typename Op>
 sim::Co<bool>
-SnicMqueue::pushWrite(sim::Core &core, std::uint64_t off,
-                      std::vector<std::uint8_t> buf)
+SnicMqueue::signalled(sim::Core &core, Op op)
 {
-    if (!cfg_.retry.enabled()) {
-        co_await core.exec(qp_.path().postCost);
-        qp_.postWrite(off, std::move(buf));
-        co_return true;
-    }
-    // Signalled write: completion errors (fault injection) surface
-    // here and are re-attempted under an exponential-backoff budget.
+    // Completion errors (fault injection) surface here and are
+    // re-attempted under an exponential-backoff budget.
     for (int attempt = 0;; ++attempt) {
         co_await core.exec(qp_.path().postCost);
-        rdma::WcStatus st = co_await qp_.write(off, buf);
-        if (st == rdma::WcStatus::Ok)
+        if (co_await op() == rdma::WcStatus::Ok)
             co_return true;
+        if (!cfg_.retry.enabled()) {
+            // Seed semantics: without the retry machinery the model
+            // reads target memory directly, so a fetch is usable and
+            // a barrier holds even when the wire judged them lost.
+            co_return true;
+        }
         cRdmaErrors_->add();
         if (attempt >= cfg_.retry.maxRetries) {
             transportDead_ = true;
@@ -106,27 +106,22 @@ SnicMqueue::pushWrite(sim::Core &core, std::uint64_t off,
 }
 
 sim::Co<bool>
+SnicMqueue::pushWrite(sim::Core &core, std::uint64_t off,
+                      std::vector<std::uint8_t> buf)
+{
+    if (!cfg_.retry.enabled()) {
+        co_await core.exec(qp_.path().postCost);
+        qp_.postWrite(off, std::move(buf));
+        co_return true;
+    }
+    co_return co_await signalled(core,
+                                 [&] { return qp_.write(off, buf); });
+}
+
+sim::Co<bool>
 SnicMqueue::txFetch(sim::Core &core, std::uint64_t bytes)
 {
-    for (int attempt = 0;; ++attempt) {
-        co_await core.exec(qp_.path().postCost);
-        rdma::WcStatus st = co_await qp_.fetch(bytes);
-        if (st == rdma::WcStatus::Ok)
-            co_return true;
-        if (!cfg_.retry.enabled()) {
-            // Seed semantics: without the retry machinery the model
-            // reads target memory directly, so the data is usable
-            // even when the wire-level fetch was judged lost.
-            co_return true;
-        }
-        cRdmaErrors_->add();
-        if (attempt >= cfg_.retry.maxRetries) {
-            transportDead_ = true;
-            co_return false;
-        }
-        cRdmaRetries_->add();
-        co_await sim::sleep(cfg_.retry.backoff(attempt));
-    }
+    return signalled(core, [this, bytes] { return qp_.fetch(bytes); });
 }
 
 sim::Co<void>
@@ -201,13 +196,24 @@ SnicMqueue::pfcResume()
                sim_.now() - pauseStart_, " ticks");
 }
 
-sim::Co<bool>
-SnicMqueue::rxPush(sim::Core &core, std::span<const std::uint8_t> payload,
-                   std::uint32_t tag, std::uint32_t err)
+sim::Co<std::size_t>
+SnicMqueue::pushRx(sim::Core &core, std::span<const RxItem> batch,
+                   RxItem single)
 {
-    LYNX_ASSERT(payload.size() <= layout_.maxPayload(), name_,
-                ": payload exceeds slot capacity");
-    for (;;) {
+    std::span<const RxItem> items =
+        batch.empty() ? std::span<const RxItem>(&single, 1) : batch;
+    for (const RxItem &it : items) {
+        LYNX_ASSERT(it.payload.size() <= layout_.maxPayload(), name_,
+                    ": payload exceeds slot capacity");
+    }
+    // The §5.1 barrier sequence is strictly per-message and split-write
+    // mode has no single contiguous image to emit: both run this loop
+    // one slot per segment, exactly a sequence of single pushes.
+    const bool inParts = cfg_.writeBarrier || !cfg_.coalesceMetadata;
+    const std::size_t segCap = inParts ? 1 : maxBatch();
+
+    std::size_t accepted = 0;
+    while (accepted < items.size()) {
         // Credit prefetch: once the ring looks half full, refresh the
         // consumer cache in the background so steady-state pushes
         // never block on the read round trip.
@@ -215,239 +221,121 @@ SnicMqueue::rxPush(sim::Core &core, std::span<const std::uint8_t> payload,
             rxProduced_ - rxConsCache_ >= layout_.slots / 2) {
             sim::spawn(sim_, asyncRefresh(core));
         }
-        if (rxProduced_ - rxConsCache_ < layout_.slots)
-            break;
-        co_await refreshRxCons(core);
-        if (rxProduced_ - rxConsCache_ < layout_.slots)
-            break;
-        // Genuinely full. Without PFC this is an overflow: the push
-        // fails (UDP semantics — the caller drops), now *counted*
-        // instead of vanishing into a generic failure. With PFC the
-        // pusher pauses until the accelerator drains, then loops back
-        // to re-validate (a concurrently resumed pusher may have
-        // claimed the freed slots first).
-        if (!cfg_.pfc.enabled || !co_await pfcWaitForSpace(core)) {
-            cRxFull_->add();
-            cOverflow_->add();
-            co_return false;
-        }
-    }
-
-    // Claim the slot *before* any suspension point: several listener
-    // tasks may push into the same mqueue concurrently, and two
-    // writers must never pick the same slot. Claim order equals seq
-    // order; the accelerator consumes strictly by seq, so slightly
-    // out-of-order deliveries on the QP are harmless.
-    std::uint64_t mySlot = rxProduced_++;
-
-    SlotMeta meta;
-    meta.len = static_cast<std::uint32_t>(payload.size());
-    meta.tag = tag;
-    meta.err = err;
-    meta.seq = static_cast<std::uint32_t>(mySlot + 1);
-    std::uint64_t slotEnd = layout_.rxSlotEnd(mySlot);
-
-    // A write whose retry budget is exhausted leaves a permanent gap
-    // at mySlot: the accelerator's strict-seq consumption would wedge
-    // on it. Record the slot so failover/revival can repair it with a
-    // kSlotSkipErr marker, and report failure to the caller.
-    auto lose = [&] {
-        lostSlots_.push_back(mySlot);
-        cSlotsLost_->add();
-    };
-
-    if (cfg_.writeBarrier) {
-        // §5.1 GPU consistency workaround: RDMA write of the data,
-        // blocking RDMA read as a write barrier, RDMA write of the
-        // doorbell. Three ops, one of them blocking.
-        SlotMeta noBell = meta;
-        noBell.seq = 0;
-        auto buf = encodeSlotWrite(payload, noBell);
-        buf.resize(buf.size() - 4); // everything but the doorbell
-        cRxWriteOps_->add(3);
-        if (!co_await pushWrite(core, slotWriteOffset(slotEnd, meta.len),
-                                std::move(buf))) {
-            lose();
-            co_return false;
-        }
-        bool barrierOk = false;
-        for (int attempt = 0;; ++attempt) {
-            co_await core.exec(qp_.path().postCost);
-            if (co_await qp_.readBarrier() == rdma::WcStatus::Ok) {
-                barrierOk = true;
-                break;
-            }
-            if (!cfg_.retry.enabled())
-                break; // seed semantics: barrier errors are invisible
-            cRdmaErrors_->add();
-            if (attempt >= cfg_.retry.maxRetries) {
-                transportDead_ = true;
-                break;
-            }
-            cRdmaRetries_->add();
-            co_await sim::sleep(cfg_.retry.backoff(attempt));
-        }
-        if (cfg_.retry.enabled() && !barrierOk) {
-            lose();
-            co_return false;
-        }
-        std::uint32_t s = meta.seq;
-        std::vector<std::uint8_t> bell{static_cast<std::uint8_t>(s),
-                                       static_cast<std::uint8_t>(s >> 8),
-                                       static_cast<std::uint8_t>(s >> 16),
-                                       static_cast<std::uint8_t>(s >> 24)};
-        if (!co_await pushWrite(core, slotEnd - 4, std::move(bell))) {
-            lose();
-            co_return false;
-        }
-    } else if (cfg_.coalesceMetadata) {
-        // One contiguous low-to-high write; doorbell bytes land last.
-        cRxWriteOps_->add();
-        if (!co_await pushWrite(core, slotWriteOffset(slotEnd, meta.len),
-                                encodeSlotWrite(payload, meta))) {
-            lose();
-            co_return false;
-        }
-    } else {
-        // Separate data and metadata writes (2 ops; RC keeps order).
-        cRxWriteOps_->add(2);
-        if (!co_await pushWrite(core, slotWriteOffset(slotEnd, meta.len),
-                                {payload.begin(), payload.end()})) {
-            lose();
-            co_return false;
-        }
-        std::vector<std::uint8_t> metaBuf(SlotMeta::bytes);
-        auto putU32 = [&](std::size_t off, std::uint32_t v) {
-            metaBuf[off] = static_cast<std::uint8_t>(v);
-            metaBuf[off + 1] = static_cast<std::uint8_t>(v >> 8);
-            metaBuf[off + 2] = static_cast<std::uint8_t>(v >> 16);
-            metaBuf[off + 3] = static_cast<std::uint8_t>(v >> 24);
-        };
-        putU32(0, meta.len);
-        putU32(4, meta.tag);
-        putU32(8, meta.err);
-        putU32(12, meta.seq);
-        if (!co_await pushWrite(core, slotEnd - SlotMeta::bytes,
-                                std::move(metaBuf))) {
-            lose();
-            co_return false;
-        }
-    }
-
-    LYNX_TRACE(sim_, "mqueue", name_, ": rx push seq ", meta.seq,
-               " len ", meta.len, " tag ", meta.tag);
-    if (sim::SpanCollector *spans = sim_.spans())
-        spans->stampTag(&qp_.target(), layout_.base, tag,
-                        sim::Stage::MqueueWrite, sim_.now());
-    cRxPushed_->add();
-    cRxBytes_->add(meta.len);
-    co_return true;
-}
-
-sim::Co<std::size_t>
-SnicMqueue::rxPushBatch(sim::Core &core, std::span<const RxItem> items)
-{
-    // Modes that cannot coalesce across slots (the §5.1 barrier
-    // sequence is strictly per-message; split-write mode has no
-    // single contiguous image to emit) degrade to sequential pushes
-    // with identical per-message timing — as does maxBatch = 1.
-    if (cfg_.maxBatch <= 1 || cfg_.writeBarrier ||
-        !cfg_.coalesceMetadata) {
-        std::size_t n = 0;
-        for (const RxItem &it : items) {
-            bool ok = co_await rxPush(core, it.payload, it.tag, it.err);
-            if (!ok)
-                break;
-            ++n;
-        }
-        co_return n;
-    }
-
-    for (const RxItem &it : items) {
-        LYNX_ASSERT(it.payload.size() <= layout_.maxPayload(), name_,
-                    ": payload exceeds slot capacity");
-    }
-
-    std::size_t accepted = 0;
-    std::vector<SlotRecord> recs;
-    recs.reserve(std::min<std::size_t>(
-        items.size(), static_cast<std::size_t>(cfg_.maxBatch)));
-    while (accepted < items.size()) {
-        // Same credit prefetch / lazy refresh discipline as rxPush,
-        // applied once per segment instead of once per message.
-        if (!refreshInFlight_ &&
-            rxProduced_ - rxConsCache_ >= layout_.slots / 2) {
-            sim::spawn(sim_, asyncRefresh(core));
-        }
         if (rxProduced_ - rxConsCache_ >= layout_.slots) {
             co_await refreshRxCons(core);
             if (rxProduced_ - rxConsCache_ >= layout_.slots) {
-                if (cfg_.pfc.enabled &&
-                    co_await pfcWaitForSpace(core)) {
-                    continue; // drained: re-validate from the top
-                }
+                // Genuinely full. With PFC the pusher pauses until
+                // the accelerator drains, then re-validates (a
+                // concurrently resumed pusher may have claimed the
+                // freed slots first). Without PFC, or when the storm
+                // guard breaks the pause, the rest overflows: the
+                // caller drops (UDP semantics), counted here.
+                if (cfg_.pfc.enabled && co_await pfcWaitForSpace(core))
+                    continue;
                 cRxFull_->add();
                 cOverflow_->add(items.size() - accepted);
                 break;
             }
         }
-        std::uint64_t avail =
-            layout_.slots - (rxProduced_ - rxConsCache_);
-        std::size_t k = items.size() - accepted;
-        k = std::min<std::size_t>(k, avail);
-        k = std::min<std::size_t>(
-            k, static_cast<std::size_t>(cfg_.maxBatch));
-        // One segment must stay contiguous in the ring: stop at the
-        // wrap boundary and emit the remainder as the next segment.
-        k = std::min<std::size_t>(
-            k, layout_.slots - rxProduced_ % layout_.slots);
+        std::size_t k = std::min<std::size_t>(
+            {items.size() - accepted, segCap,
+             static_cast<std::size_t>(
+                 layout_.slots - (rxProduced_ - rxConsCache_)),
+             // A segment stays contiguous in the ring: stop at the
+             // wrap boundary and emit the rest as the next segment.
+             static_cast<std::size_t>(
+                 layout_.slots - rxProduced_ % layout_.slots)});
 
-        // Claim the whole segment before any suspension point so
-        // concurrent pushers never pick overlapping slots.
+        // Claim the segment *before* any suspension point: several
+        // pushers may target this mqueue concurrently and must never
+        // pick overlapping slots. Claim order equals seq order; the
+        // accelerator consumes strictly by seq, so slightly
+        // out-of-order deliveries on the QP are harmless.
         std::uint64_t firstSlot = rxProduced_;
         rxProduced_ += k;
-
-        recs.clear();
+        std::span<const RxItem> seg = items.subspan(accepted, k);
         std::uint64_t segBytes = 0;
-        for (std::size_t j = 0; j < k; ++j) {
-            const RxItem &it = items[accepted + j];
-            SlotMeta meta;
-            meta.len = static_cast<std::uint32_t>(it.payload.size());
-            meta.tag = it.tag;
-            meta.err = it.err;
-            meta.seq = static_cast<std::uint32_t>(firstSlot + j + 1);
-            recs.push_back(SlotRecord{it.payload, meta});
-            segBytes += meta.len;
+        for (const RxItem &it : seg)
+            segBytes += it.payload.size();
+
+        bool ok;
+        if (inParts) {
+            ok = co_await writeSlotInParts(core, firstSlot, seg[0]);
+        } else {
+            // One post, one RDMA write, one trailing doorbell for the
+            // whole segment. The records are encoded before the
+            // write suspends, so one scratch vector serves every
+            // concurrent pusher.
+            segRecs_.clear();
+            for (std::size_t j = 0; j < k; ++j) {
+                SlotMeta meta;
+                meta.len = static_cast<std::uint32_t>(seg[j].payload.size());
+                meta.tag = seg[j].tag;
+                meta.err = seg[j].err;
+                meta.seq = static_cast<std::uint32_t>(firstSlot + j + 1);
+                segRecs_.push_back(SlotRecord{seg[j].payload, meta});
+            }
+            auto [off, buf] =
+                encodeRxBatchSegment(layout_, firstSlot, segRecs_);
+            cRxWriteOps_->add();
+            ok = co_await pushWrite(core, off, std::move(buf));
         }
-        auto [off, buf] = encodeRxBatchSegment(layout_, firstSlot, recs);
-        // One post, one RDMA write, one trailing doorbell for the
-        // whole segment.
-        if (!co_await pushWrite(core, off, std::move(buf))) {
-            // Retry budget exhausted: the whole claimed segment is a
-            // sequence gap for the repair pass; the unaccepted suffix
-            // is reported back to the caller.
+        if (!ok) {
+            // Retry budget exhausted: every claimed slot is a sequence
+            // gap the accelerator's strict-seq consumption would wedge
+            // on. Record them for the failover/revival repair pass
+            // (kSlotSkipErr markers); the unaccepted suffix is
+            // reported back to the caller.
             for (std::size_t j = 0; j < k; ++j)
                 lostSlots_.push_back(firstSlot + j);
             cSlotsLost_->add(k);
-            cRxWriteOps_->add();
             break;
         }
-        LYNX_TRACE(sim_, "mqueue", name_, ": rx batch seq ",
+        LYNX_TRACE(sim_, "mqueue", name_, ": rx push seq ",
                    firstSlot + 1, "..", firstSlot + k, " (", segBytes,
-                   " B payload)");
+                   " B payload, first tag ", seg[0].tag, ")");
         if (sim::SpanCollector *spans = sim_.spans()) {
-            for (std::size_t j = 0; j < k; ++j)
-                spans->stampTag(&qp_.target(), layout_.base,
-                                items[accepted + j].tag,
+            for (const RxItem &it : seg)
+                spans->stampTag(&qp_.target(), layout_.base, it.tag,
                                 sim::Stage::MqueueWrite, sim_.now());
         }
-        cRxWriteOps_->add();
         cRxCoalesced_->add(k - 1);
         cRxPushed_->add(k);
         cRxBytes_->add(segBytes);
         accepted += k;
     }
     co_return accepted;
+}
+
+sim::Co<bool>
+SnicMqueue::writeSlotInParts(sim::Core &core, std::uint64_t slot,
+                             const RxItem &it)
+{
+    SlotMeta meta;
+    meta.len = static_cast<std::uint32_t>(it.payload.size());
+    meta.tag = it.tag;
+    meta.err = it.err;
+    meta.seq = static_cast<std::uint32_t>(slot + 1);
+    std::uint64_t slotEnd = layout_.rxSlotEnd(slot);
+
+    // Both modes cut the coalesced slot image in two. Split writes:
+    // the payload, then the metadata trailer (2 ops; RC keeps order).
+    // The §5.1 GPU consistency workaround: everything but the
+    // doorbell, a blocking RDMA read as a write barrier, then the
+    // doorbell (3 ops, one of them blocking).
+    std::vector<std::uint8_t> head = encodeSlotWrite(it.payload, meta);
+    std::size_t cut = cfg_.writeBarrier ? head.size() - 4 : meta.len;
+    std::vector<std::uint8_t> tail(head.begin() + cut, head.end());
+    head.resize(cut);
+    cRxWriteOps_->add(cfg_.writeBarrier ? 3 : 2);
+    if (!co_await pushWrite(core, slotWriteOffset(slotEnd, meta.len),
+                            std::move(head)))
+        co_return false;
+    if (cfg_.writeBarrier &&
+        !co_await signalled(core, [this] { return qp_.readBarrier(); }))
+        co_return false;
+    std::uint64_t tailOff = slotEnd - tail.size();
+    co_return co_await pushWrite(core, tailOff, std::move(tail));
 }
 
 sim::Co<std::optional<TxMessage>>

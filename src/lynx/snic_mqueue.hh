@@ -26,6 +26,7 @@
 #ifndef LYNX_LYNX_SNIC_MQUEUE_HH
 #define LYNX_LYNX_SNIC_MQUEUE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -65,10 +66,11 @@ struct SnicMqueueConfig
     bool writeBarrier = false;
 
     /** Maximum messages rxPushBatch() emits as ONE coalesced RDMA
-     *  write (one post cost, one trailing doorbell). 1 = per-message
-     *  writes, exactly the unbatched behaviour. Batch writes fall
-     *  back to per-slot pushes at a ring-wrap boundary (each segment
-     *  stays contiguous) and under `writeBarrier`/split-write modes
+     *  write (one post cost, one trailing doorbell), and how many a
+     *  dispatcher stages per mqueue before pushing them. 1 =
+     *  per-message writes, exactly the unbatched behaviour. Segments
+     *  split at a ring-wrap boundary (each stays contiguous);
+     *  `writeBarrier`/split-write modes emit one slot per segment
      *  (see docs/INTERNALS.md §5). */
     int maxBatch = 1;
 
@@ -110,6 +112,9 @@ struct TxMessage
 struct ClientRef
 {
     net::Address addr;
+    /** Where the request was sent: with `addr`, the flow tuple a
+     *  re-queued request is routed by. */
+    net::Address dst;
     net::Protocol proto = net::Protocol::Udp;
     std::uint64_t seq = 0;
     sim::Tick sentAt = 0;
@@ -150,18 +155,7 @@ class SnicMqueue
     MqueueKind kind() const { return kind_; }
     const MqueueLayout &layout() const { return layout_; }
 
-    /**
-     * Push one message into the RX ring. Charges post cost(s) on
-     * @p core, refreshes the consumer cache over RDMA if the ring
-     * looks full.
-     * @return false if the ring is genuinely full (caller drops —
-     * UDP semantics — or retries).
-     */
-    sim::Co<bool> rxPush(sim::Core &core,
-                         std::span<const std::uint8_t> payload,
-                         std::uint32_t tag, std::uint32_t err = 0);
-
-    /** One message of an rxPushBatch() call. */
+    /** One message of an RX push. */
     struct RxItem
     {
         std::span<const std::uint8_t> payload;
@@ -173,14 +167,42 @@ class SnicMqueue
      * Push @p items into the RX ring, coalescing up to
      * `cfg.maxBatch` contiguous slots per RDMA write: one post cost
      * and one trailing doorbell cover the whole segment. Segments
-     * split at ring-wrap boundaries; with `maxBatch` 1, write-barrier
-     * or split-write modes this degrades to sequential rxPush()
-     * calls with identical timing.
+     * split at ring-wrap boundaries; write-barrier and split-write
+     * modes emit one slot per segment. The consumer cache is
+     * refreshed over RDMA only when the ring looks full.
+     * @pre !items.empty().
      * @return how many messages were accepted (a prefix of @p items;
-     * fewer than items.size() means the ring filled up).
+     * fewer than items.size() means the ring filled up or the
+     * transport failed).
      */
-    sim::Co<std::size_t> rxPushBatch(sim::Core &core,
-                                     std::span<const RxItem> items);
+    sim::Co<std::size_t>
+    rxPushBatch(sim::Core &core, std::span<const RxItem> items)
+    {
+        LYNX_ASSERT(!items.empty(), name_, ": empty RX batch");
+        return pushRx(core, items, {});
+    }
+
+    /**
+     * Push one message: a one-item rxPushBatch() (same loop, same
+     * coroutine frame).
+     * @return 1 if accepted, 0 if the ring is genuinely full (caller
+     * drops — UDP semantics — or retries) or the transport failed.
+     */
+    sim::Co<std::size_t>
+    rxPush(sim::Core &core, std::span<const std::uint8_t> payload,
+           std::uint32_t tag, std::uint32_t err = 0)
+    {
+        return pushRx(core, {}, RxItem{payload, tag, err});
+    }
+
+    /** @return the RX coalescing cap (`cfg.maxBatch`, at least 1),
+     *  also how many messages a dispatcher stages for one
+     *  rxPushBatch() call. */
+    std::size_t
+    maxBatch() const
+    {
+        return static_cast<std::size_t>(std::max(cfg_.maxBatch, 1));
+    }
 
     /**
      * Try to pop the next TX-ring message: one RDMA slot read.
@@ -333,6 +355,23 @@ class SnicMqueue
 
   private:
     /**
+     * The one RX reservation loop behind rxPush() and rxPushBatch():
+     * pushes @p batch, or @p single when @p batch is empty. Per
+     * segment: credit prefetch, lazy consumer refresh, then on a
+     * genuinely full ring a PFC park or a counted overflow; then one
+     * slot claim of up to the segment cap and one emission.
+     */
+    sim::Co<std::size_t> pushRx(sim::Core &core,
+                                std::span<const RxItem> batch,
+                                RxItem single);
+
+    /** Emit claimed RX slot @p slot in write-barrier or split-write
+     *  mode (several ops per slot). @return false when a write's
+     *  retry budget ran out (transportDead() is set). */
+    sim::Co<bool> writeSlotInParts(sim::Core &core, std::uint64_t slot,
+                                   const RxItem &it);
+
+    /**
      * Emit one RX-ring write: posted fire-and-forget when the retry
      * policy is off (the seed fast path, bit-identical), otherwise
      * signalled with software retries + exponential backoff.
@@ -341,6 +380,14 @@ class SnicMqueue
      */
     sim::Co<bool> pushWrite(sim::Core &core, std::uint64_t off,
                             std::vector<std::uint8_t> buf);
+
+    /** Issue the signalled RDMA op @p op() (post cost first), retried
+     *  with exponential backoff under the retry policy. Without one,
+     *  a failed completion is ignored (the seed's semantics).
+     *  @return false when the budget is exhausted (transportDead()
+     *  is set). */
+    template <typename Op>
+    sim::Co<bool> signalled(sim::Core &core, Op op);
 
     /** Emit one pipelined TX fetch of @p bytes, with software retries
      *  under the retry policy (when enabled). @return whether a fetch
@@ -382,6 +429,10 @@ class SnicMqueue
     MqueueLayout layout_;
     MqueueKind kind_;
     SnicMqueueConfig cfg_;
+
+    /** Encode scratch of one coalesced RX segment (filled and
+     *  consumed without suspending, so concurrent pushers share it). */
+    std::vector<SlotRecord> segRecs_;
 
     std::uint64_t rxProduced_ = 0;
     std::uint64_t rxConsCache_ = 0;

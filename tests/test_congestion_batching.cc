@@ -53,8 +53,8 @@ struct VictimResult
 };
 
 /** An 8-to-1 incast at 1.5x saturation with DCQCN on, with or
- *  without the doorbell-coalescing knobs (dispatcher staging 8 +
- *  mqueue maxBatch 8 + the default 2 us flush linger). */
+ *  without the doorbell-coalescing knobs (mqueue maxBatch 8, which
+ *  the dispatcher also stages to, + the default 2 us flush linger). */
 VictimResult
 measure(bool batched)
 {
@@ -86,7 +86,6 @@ measure(bool batched)
     core::RuntimeConfig cfg = bf.lynxRuntimeConfig();
     cfg.congestion = ncfg.congestion;
     if (batched) {
-        cfg.dispatchMaxBatch = 8;
         cfg.mq.maxBatch = 8;
     }
     core::Runtime rt(s, cfg);

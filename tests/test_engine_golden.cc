@@ -139,7 +139,6 @@ runFig8bScale(const GoldenKnobs &knobs)
     core::RuntimeConfig cfg = bf.lynxRuntimeConfig();
     cfg.congestion = ncfg.congestion;
     if (knobs.batching) {
-        cfg.dispatchMaxBatch = 8;
         cfg.dispatchFlushLinger = 2_us;
         cfg.mq.maxBatch = 8;
     }

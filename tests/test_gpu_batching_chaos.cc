@@ -93,7 +93,6 @@ runBatchedChaos(FaultKind kind, std::uint64_t seed)
     core::RuntimeConfig cfg = bf.lynxRuntimeConfig();
     cfg.failover.enabled = true;
     cfg.mq.maxBatch = 8;
-    cfg.dispatchMaxBatch = 8;
     cfg.dispatchFlushLinger = 30_us;
     cfg.forwarder.maxBatch = 8;
     cfg.gio.rxBurst = true;

@@ -327,7 +327,6 @@ TEST(Batching, BatchedRuntimeEchoesConcurrentClientsFaithfully)
 
     core::RuntimeConfig cfg = bf.lynxRuntimeConfig();
     cfg.mq.maxBatch = 8;
-    cfg.dispatchMaxBatch = 8;
     cfg.dispatchFlushLinger = 30_us;
     cfg.forwarder.maxBatch = 8;
     cfg.forwarder.adaptivePoll = true;

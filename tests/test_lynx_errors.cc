@@ -248,7 +248,6 @@ TEST(LynxErrors, UdpOverflowDropsAreCountedUnderBatchedLynxPath)
 
     core::RuntimeConfig cfg = bf.lynxRuntimeConfig();
     cfg.mq.maxBatch = 8;
-    cfg.dispatchMaxBatch = 8;
     cfg.forwarder.maxBatch = 8;
     cfg.gio.rxBurst = true;
     core::Runtime rt(s, cfg);

@@ -18,6 +18,7 @@
 #include "lynx/gio.hh"
 #include "lynx/runtime.hh"
 #include "lynx/snic_mqueue.hh"
+#include "lynx/tenant.hh"
 #include "net/network.hh"
 #include "net/steering.hh"
 #include "pcie/memory.hh"
@@ -209,6 +210,16 @@ recordingWorker(core::AccelQueue &q, std::size_t qi,
         servedBy[key] = qi;
         co_await q.send(m.tag, m.payload);
     }
+}
+
+/** Tenancy on, unknown tenant ids refused (no auto-registration). */
+core::TenantConfig
+explicitTenants()
+{
+    core::TenantConfig c;
+    c.enabled = true;
+    c.autoRegister = false;
+    return c;
 }
 
 } // namespace
@@ -412,4 +423,64 @@ TEST(Admission, DisabledLeavesTheSeedPathUntouched)
     EXPECT_EQ(disp.admissionStats().counterValue("shed_ring_full"),
               0u);
     EXPECT_EQ(mq.tagsInFlight(), 4u); // ring-capacity pushes landed
+}
+
+/** Tenanted traffic is steered by the same flow tuple as untenanted
+ *  traffic: an RSS dispatcher with a TenantTable places a tenant's
+ *  request on the queue the hardware hash of (src, dst) selects,
+ *  even before any untenanted message has passed through. */
+TEST(RssDispatch, TenantedFlowLandsOnItsHardwarePredictedQueue)
+{
+    sim::Simulator s;
+    pcie::DeviceMemory mem{"accel.mem", 1 << 20};
+    rdma::QueuePair qp{s, "qp", mem, rdma::RdmaPathModel{}};
+    sim::Core core{s, "snic.0"};
+    core::TenantTable table(
+        s, explicitTenants());
+    core::TenantId tenant = table.add();
+
+    core::DispatcherConfig dcfg;
+    dcfg.tenants = &table;
+    core::Dispatcher disp("rss.dispatch", core::DispatchPolicy::Rss,
+                          dcfg);
+    core::SnicMqueueConfig mcfg;
+    mcfg.tenants = &table;
+    std::vector<std::unique_ptr<core::SnicMqueue>> mqs;
+    for (int q = 0; q < 4; ++q) {
+        core::MqueueLayout layout{
+            static_cast<std::uint64_t>(q) * 8192, 8, 256};
+        mqs.push_back(std::make_unique<core::SnicMqueue>(
+            s, "mq" + std::to_string(q), qp, layout,
+            core::MqueueKind::Server, mcfg));
+        disp.addQueue(mqs.back().get());
+    }
+
+    // A flow whose queue depends on the destination half of the
+    // tuple, so hashing a blank destination would misplace it.
+    RssSteering reference;
+    net::Message m;
+    m.dst = {1, 7000};
+    m.proto = net::Protocol::Udp;
+    m.payload = std::vector<std::uint8_t>(16, 1);
+    m.tenant = tenant;
+    std::uint16_t port = 41000;
+    for (; port < 42000; ++port) {
+        m.src = {3, port};
+        if (reference.pick(m.src, m.dst, 4) !=
+            reference.pick(m.src, {}, 4))
+            break;
+    }
+    ASSERT_LT(port, 42000);
+    std::size_t expect = reference.pick(m.src, m.dst, 4);
+
+    auto driver = [&]() -> sim::Task {
+        co_await disp.dispatch(core, std::move(m));
+    };
+    sim::spawn(s, driver());
+    s.run();
+
+    for (std::size_t q = 0; q < 4; ++q)
+        EXPECT_EQ(mqs[q]->tagsInFlight(), q == expect ? 1u : 0u)
+            << "queue " << q;
+    EXPECT_EQ(disp.steerStats().counterValue("rss_picks"), 1u);
 }
