@@ -30,24 +30,30 @@ jittered(sim::Tick d, double pct, sim::Rng &rng)
     return static_cast<sim::Tick>(static_cast<double>(d) * f);
 }
 
-/**
- * Drain one batch under the bounded-linger policy: a lone request
- * (idle ring) is served immediately; only a partial burst of 2+
- * requests that arrived together lingers once to top up.
- */
-sim::Co<std::vector<core::GioMessage>>
-drainBatch(core::AccelQueue &q, int maxBatch, sim::Tick linger)
+/** @return the batch cap of @p maxBatch (1 = unbatched). */
+std::size_t
+batchCap(int maxBatch)
 {
-    std::size_t maxN = static_cast<std::size_t>(maxBatch);
-    std::vector<core::GioMessage> msgs = co_await q.recvBatch(maxN);
+    return static_cast<std::size_t>(std::max(maxBatch, 1));
+}
+
+/**
+ * Drain one batch into @p msgs (cleared first) under the
+ * bounded-linger policy: a lone request (idle ring) is served
+ * immediately; only a partial burst of 2+ requests that arrived
+ * together lingers once to top up.
+ */
+sim::Co<void>
+drainBatch(core::AccelQueue &q, int maxBatch, sim::Tick linger,
+           std::vector<core::GioMessage> &msgs)
+{
+    std::size_t maxN = batchCap(maxBatch);
+    msgs.clear();
+    co_await q.recvBatch(maxN, msgs);
     if (linger > 0 && msgs.size() >= 2 && msgs.size() < maxN) {
         co_await sim::sleep(linger);
-        std::vector<core::GioMessage> more =
-            co_await q.tryRecvBatch(maxN - msgs.size());
-        for (auto &m : more)
-            msgs.push_back(std::move(m));
+        co_await q.tryRecvBatch(maxN - msgs.size(), msgs);
     }
-    co_return msgs;
 }
 
 } // namespace
@@ -57,40 +63,25 @@ runEchoBlock(accel::Gpu &gpu, core::AccelQueue &q, sim::Tick procTime,
              std::size_t respBytes, ServiceBatchConfig batch)
 {
     co_await gpu.slots().acquire(1); // persistent kernel block
-    if (batch.maxBatch > 1) {
-        std::vector<core::GioTxItem> items;
-        items.reserve(static_cast<std::size_t>(batch.maxBatch));
-        for (;;) {
-            std::vector<core::GioMessage> msgs =
-                co_await drainBatch(q, batch.maxBatch, batch.linger);
-            // Emulated processing stays serial per request; batching
-            // saves the per-message poll/doorbell I/O, not compute.
-            if (procTime)
-                co_await sim::sleep(
-                    gpu.scaled(procTime) *
-                    static_cast<sim::Tick>(msgs.size()));
-            items.clear();
-            for (const core::GioMessage &m : msgs) {
-                std::span<const std::uint8_t> p = m.payload;
-                if (respBytes != 0 && respBytes < p.size())
-                    p = p.subspan(0, respBytes);
-                items.push_back({m.tag, p, 0});
-            }
-            co_await q.sendBatch(items);
-        }
-    }
+    std::vector<core::GioMessage> msgs;
+    std::vector<core::GioTxItem> items;
+    msgs.reserve(batchCap(batch.maxBatch));
+    items.reserve(batchCap(batch.maxBatch));
     for (;;) {
-        core::GioMessage m = co_await q.recv();
+        co_await drainBatch(q, batch.maxBatch, batch.linger, msgs);
+        // Emulated processing stays serial per request; batching
+        // saves the per-message poll/doorbell I/O, not compute.
         if (procTime)
-            co_await sim::sleep(gpu.scaled(procTime));
-        if (respBytes == 0 || respBytes >= m.payload.size()) {
-            co_await q.send(m.tag, m.payload);
-        } else {
-            std::vector<std::uint8_t> r(m.payload.begin(),
-                                        m.payload.begin() +
-                                            static_cast<long>(respBytes));
-            co_await q.send(m.tag, r);
+            co_await sim::sleep(gpu.scaled(procTime) *
+                                static_cast<sim::Tick>(msgs.size()));
+        items.clear();
+        for (const core::GioMessage &m : msgs) {
+            std::span<const std::uint8_t> p = m.payload;
+            if (respBytes != 0 && respBytes < p.size())
+                p = p.subspan(0, respBytes);
+            items.push_back({m.tag, p, 0});
         }
+        co_await q.sendBatch(items);
     }
 }
 
@@ -132,89 +123,62 @@ runLenetServer(accel::Gpu &gpu, core::AccelQueue &q, const LeNet &net,
 {
     co_await gpu.slots().acquire(1); // the polling block
     sim::Rng rng(cfg.jitterSeed);
-    if (cfg.maxBatch > 1) {
-        std::size_t cap = static_cast<std::size_t>(cfg.maxBatch);
-        std::vector<std::span<const std::uint8_t>> images;
-        std::vector<std::size_t> imageIdx;
-        std::vector<std::uint8_t> respB;
-        std::vector<core::GioTxItem> items;
-        images.reserve(cap);
-        imageIdx.reserve(cap);
-        respB.reserve(cap);
-        items.reserve(cap);
-        for (;;) {
-            std::vector<core::GioMessage> msgs =
-                co_await drainBatch(q, cfg.maxBatch, cfg.batchLinger);
-            images.clear();
-            imageIdx.clear();
-            items.clear();
-            respB.assign(msgs.size(), 0xff);
-            for (std::size_t i = 0; i < msgs.size(); ++i) {
-                if (msgs[i].payload.size() == LeNet::imageBytes) {
-                    images.push_back(msgs[i].payload);
-                    imageIdx.push_back(i);
-                }
+    std::size_t cap = batchCap(cfg.maxBatch);
+    std::vector<core::GioMessage> msgs;
+    std::vector<std::span<const std::uint8_t>> images;
+    std::vector<std::size_t> imageIdx;
+    std::vector<std::uint8_t> respB;
+    std::vector<core::GioTxItem> items;
+    msgs.reserve(cap);
+    images.reserve(cap);
+    imageIdx.reserve(cap);
+    respB.reserve(cap);
+    items.reserve(cap);
+    for (;;) {
+        co_await drainBatch(q, cfg.maxBatch, cfg.batchLinger, msgs);
+        images.clear();
+        imageIdx.clear();
+        items.clear();
+        respB.assign(msgs.size(), 0xff);
+        for (std::size_t i = 0; i < msgs.size(); ++i) {
+            if (msgs[i].payload.size() == LeNet::imageBytes) {
+                images.push_back(msgs[i].payload);
+                imageIdx.push_back(i);
             }
-            if (!images.empty()) {
-                // One batched child kernel per layer classifies the
-                // whole batch: the launch overhead is paid once and
-                // the duration follows the occupancy model.
-                int n = static_cast<int>(images.size());
-                if (cfg.dynamicParallelism) {
-                    for (sim::Tick layer : lenetLayers) {
-                        co_await gpu.batchedLaunch(
-                            cfg.childBlocks,
-                            jittered(layer, cfg.jitterPct, rng), n);
-                    }
-                } else {
-                    sim::Tick total = 0;
-                    for (sim::Tick layer : lenetLayers)
-                        total += layer;
+        }
+        if (!images.empty()) {
+            // One batched child kernel per layer classifies the whole
+            // batch: the launch overhead is paid once and the
+            // duration follows the occupancy model (one image = one
+            // plain device launch, tick for tick).
+            int n = static_cast<int>(images.size());
+            if (cfg.dynamicParallelism) {
+                for (sim::Tick layer : lenetLayers) {
                     co_await gpu.batchedLaunch(
                         cfg.childBlocks,
-                        jittered(total, cfg.jitterPct, rng), n);
+                        jittered(layer, cfg.jitterPct, rng), n);
                 }
-                std::vector<int> digits = net.classifyBatch(images);
-                for (std::size_t j = 0; j < digits.size(); ++j)
-                    respB[imageIdx[j]] =
-                        static_cast<std::uint8_t>(digits[j]);
+            } else {
+                sim::Tick total = 0;
+                for (sim::Tick layer : lenetLayers)
+                    total += layer;
+                co_await gpu.batchedLaunch(
+                    cfg.childBlocks, jittered(total, cfg.jitterPct, rng),
+                    n);
             }
-            for (std::size_t i = 0; i < msgs.size(); ++i) {
-                // Malformed images (respB stays 0xff) are answered in
-                // the same batch, per-message, with err = 1.
-                bool bad =
-                    msgs[i].payload.size() != LeNet::imageBytes;
-                items.push_back({msgs[i].tag,
-                                 std::span<const std::uint8_t>(
-                                     &respB[i], 1),
-                                 bad ? 1u : 0u});
-            }
-            co_await q.sendBatch(items);
+            std::vector<int> digits = net.classifyBatch(images);
+            for (std::size_t j = 0; j < digits.size(); ++j)
+                respB[imageIdx[j]] = static_cast<std::uint8_t>(digits[j]);
         }
-    }
-    std::vector<std::uint8_t> resp(1);
-    for (;;) {
-        core::GioMessage m = co_await q.recv();
-        if (m.payload.size() != LeNet::imageBytes) {
-            resp[0] = 0xff;
-            co_await q.send(m.tag, resp, /*err=*/1);
-            continue;
+        for (std::size_t i = 0; i < msgs.size(); ++i) {
+            // Malformed images (respB stays 0xff) are answered in the
+            // same batch, per-message, with err = 1.
+            bool bad = msgs[i].payload.size() != LeNet::imageBytes;
+            items.push_back({msgs[i].tag,
+                             std::span<const std::uint8_t>(&respB[i], 1),
+                             bad ? 1u : 0u});
         }
-        if (cfg.dynamicParallelism) {
-            for (sim::Tick layer : lenetLayers) {
-                co_await gpu.deviceLaunch(
-                    cfg.childBlocks,
-                    jittered(layer, cfg.jitterPct, rng));
-            }
-        } else {
-            sim::Tick total = 0;
-            for (sim::Tick layer : lenetLayers)
-                total += layer;
-            co_await gpu.deviceLaunch(
-                cfg.childBlocks, jittered(total, cfg.jitterPct, rng));
-        }
-        resp[0] = static_cast<std::uint8_t>(net.classify(m.payload));
-        co_await q.send(m.tag, resp);
+        co_await q.sendBatch(items);
     }
 }
 
@@ -238,141 +202,103 @@ runFaceVerWorker(accel::Gpu &gpu, core::AccelQueue &serverQ,
 {
     co_await gpu.slots().acquire(1); // one persistent block (1024 thr)
     std::uint32_t nextDbTag = 1;
-    if (batch.maxBatch > 1) {
-        for (;;) {
-            std::vector<core::GioMessage> msgs = co_await drainBatch(
-                serverQ, batch.maxBatch, batch.linger);
-            std::size_t n = msgs.size();
-            std::vector<std::uint8_t> respB(
-                n, static_cast<std::uint8_t>(FaceVerResult::Malformed));
-            // Issue the backend GETs for all well-formed requests as
-            // ONE batched send on the client mqueue.
-            std::vector<std::vector<std::uint8_t>> getPayloads;
-            std::vector<std::size_t> getIdx;
-            getPayloads.reserve(n);
-            getIdx.reserve(n);
-            for (std::size_t i = 0; i < n; ++i) {
-                if (msgs[i].payload.size() != faceVerRequestBytes)
-                    continue;
-                std::string label(msgs[i].payload.begin(),
-                                  msgs[i].payload.begin() +
-                                      faceVerLabelBytes);
-                getPayloads.push_back(kvEncodeGet(label));
-                getIdx.push_back(i);
-            }
-            std::vector<core::GioTxItem> gets;
-            std::vector<std::uint32_t> getTags;
-            gets.reserve(getPayloads.size());
-            getTags.reserve(getPayloads.size());
-            for (const auto &p : getPayloads) {
-                getTags.push_back(nextDbTag);
-                gets.push_back({nextDbTag++, p, 0});
-            }
-            co_await dbQ.sendBatch(gets);
-            // Collect the replies (tag-matched: the DB tier answers
-            // in order, but correctness must not depend on it).
-            std::vector<std::optional<std::vector<std::uint8_t>>>
-                enrolled(n);
-            std::vector<std::uint8_t> backendErr(n, 0);
-            std::vector<std::uint8_t> reachedKernel(n, 0);
-            for (std::size_t k = 0; k < gets.size(); ++k) {
-                core::GioMessage dbResp = co_await dbQ.recv();
-                std::size_t idx = n; // sentinel
-                for (std::size_t g = 0; g < getTags.size(); ++g) {
-                    if (getTags[g] == dbResp.tag) {
-                        idx = getIdx[g];
-                        break;
-                    }
-                }
-                LYNX_ASSERT(idx < n, "unmatched DB response tag ",
-                            dbResp.tag);
-                if (dbResp.err != 0) {
-                    backendErr[idx] = 1;
-                    respB[idx] = static_cast<std::uint8_t>(
-                        FaceVerResult::BackendError);
-                    continue;
-                }
-                reachedKernel[idx] = 1;
-                KvResponse kv = kvDecodeResponse(dbResp.payload);
-                if (kv.status == KvStatus::Ok)
-                    enrolled[idx] = std::move(kv.value);
-            }
-            // One occupancy-aware batched LBP kernel for every
-            // request that reaches the compare stage.
-            int kernelItems = 0;
-            for (std::size_t i = 0; i < n; ++i)
-                kernelItems += reachedKernel[i];
-            if (kernelItems > 0)
-                co_await sim::sleep(gpu.scaled(gpu.batchedDuration(
-                    calibration::lbpKernelTime, kernelItems)));
-            // Batched compare for the pairs with an enrolled image;
-            // the rest resolve to UnknownLabel.
-            std::vector<LbpPair> pairs;
-            std::vector<std::size_t> pairIdx;
-            for (std::size_t i = 0; i < n; ++i) {
-                if (!reachedKernel[i])
-                    continue;
-                if (enrolled[i] &&
-                    enrolled[i]->size() == faceVerImageBytes) {
-                    pairs.push_back(
-                        {std::span<const std::uint8_t>(msgs[i].payload)
-                             .subspan(faceVerLabelBytes),
-                         *enrolled[i]});
-                    pairIdx.push_back(i);
-                } else {
-                    respB[i] = static_cast<std::uint8_t>(
-                        FaceVerResult::UnknownLabel);
-                }
-            }
-            std::vector<std::uint8_t> matched = lbpVerifyBatch(
-                pairs, 32, 32, faceVerThreshold);
-            for (std::size_t j = 0; j < matched.size(); ++j)
-                respB[pairIdx[j]] = static_cast<std::uint8_t>(
-                    matched[j] ? FaceVerResult::Match
-                               : FaceVerResult::NoMatch);
-            std::vector<core::GioTxItem> items;
-            items.reserve(n);
-            for (std::size_t i = 0; i < n; ++i)
-                items.push_back({msgs[i].tag,
-                                 std::span<const std::uint8_t>(
-                                     &respB[i], 1),
-                                 0});
-            co_await serverQ.sendBatch(items);
-        }
-    }
-    std::vector<std::uint8_t> resp(1);
+    // Per-batch state, reused across batches.
+    std::vector<core::GioMessage> msgs;
+    std::vector<std::uint8_t> respB;
+    std::vector<std::vector<std::uint8_t>> getPayloads;
+    std::vector<std::size_t> getIdx;
+    std::vector<core::GioTxItem> gets;
+    std::vector<std::optional<std::vector<std::uint8_t>>> enrolled;
+    std::vector<std::uint8_t> reachedKernel;
+    std::vector<LbpPair> pairs;
+    std::vector<std::size_t> pairIdx;
+    std::vector<core::GioTxItem> items;
     for (;;) {
-        core::GioMessage m = co_await serverQ.recv();
-        if (m.payload.size() != faceVerRequestBytes) {
-            resp[0] = static_cast<std::uint8_t>(FaceVerResult::Malformed);
-            co_await serverQ.send(m.tag, resp);
-            continue;
+        co_await drainBatch(serverQ, batch.maxBatch, batch.linger, msgs);
+        std::size_t n = msgs.size();
+        respB.assign(n, static_cast<std::uint8_t>(FaceVerResult::Malformed));
+        // Issue the backend GETs for all well-formed requests as ONE
+        // batched send on the client mqueue.
+        getPayloads.clear();
+        getIdx.clear();
+        gets.clear();
+        for (std::size_t i = 0; i < n; ++i) {
+            if (msgs[i].payload.size() != faceVerRequestBytes)
+                continue;
+            std::string label(msgs[i].payload.begin(),
+                              msgs[i].payload.begin() + faceVerLabelBytes);
+            getPayloads.push_back(kvEncodeGet(label));
+            getIdx.push_back(i);
         }
-        std::string label(m.payload.begin(),
-                          m.payload.begin() + faceVerLabelBytes);
-        std::vector<std::uint8_t> getReq = kvEncodeGet(label);
-        co_await dbQ.send(nextDbTag++, getReq);
-        core::GioMessage dbResp = co_await dbQ.recv();
-        if (dbResp.err != 0) {
-            // Backend connection failure propagated through the
-            // mqueue metadata error status (§5.1).
-            resp[0] = static_cast<std::uint8_t>(
-                FaceVerResult::BackendError);
-            co_await serverQ.send(m.tag, resp);
-            continue;
+        for (const auto &p : getPayloads)
+            gets.push_back({nextDbTag++, p, 0});
+        co_await dbQ.sendBatch(gets);
+        // Collect the replies (tag-matched: the DB tier answers in
+        // order, but correctness must not depend on it).
+        enrolled.assign(n, std::nullopt);
+        reachedKernel.assign(n, 0);
+        for (std::size_t k = 0; k < gets.size(); ++k) {
+            core::GioMessage dbResp = co_await dbQ.recv();
+            std::size_t idx = n; // sentinel
+            for (std::size_t g = 0; g < gets.size(); ++g) {
+                if (gets[g].tag == dbResp.tag) {
+                    idx = getIdx[g];
+                    break;
+                }
+            }
+            LYNX_ASSERT(idx < n, "unmatched DB response tag ",
+                        dbResp.tag);
+            if (dbResp.err != 0) {
+                // Backend connection failure propagated through the
+                // mqueue metadata error status (§5.1).
+                respB[idx] =
+                    static_cast<std::uint8_t>(FaceVerResult::BackendError);
+                continue;
+            }
+            reachedKernel[idx] = 1;
+            KvResponse kv = kvDecodeResponse(dbResp.payload);
+            if (kv.status == KvStatus::Ok)
+                enrolled[idx] = std::move(kv.value);
         }
-        KvResponse kv = kvDecodeResponse(dbResp.payload);
-
-        std::optional<std::vector<std::uint8_t>> enrolled;
-        if (kv.status == KvStatus::Ok)
-            enrolled = std::move(kv.value);
-        // The LBP compare kernel runs inside the persistent block
-        // ("a kernel executed by a single threadblock with 1024
-        // threads", §6.4): charge its time, compute the real answer.
-        co_await sim::sleep(gpu.scaled(calibration::lbpKernelTime));
-        resp[0] = static_cast<std::uint8_t>(
-            faceVerDecide(m.payload, enrolled));
-        co_await serverQ.send(m.tag, resp);
+        // One occupancy-aware batched LBP kernel, inside the persistent
+        // block ("a kernel executed by a single threadblock with 1024
+        // threads", §6.4), for every request that reaches the compare
+        // stage; one request costs exactly the scalar kernel time.
+        int kernelItems = 0;
+        for (std::size_t i = 0; i < n; ++i)
+            kernelItems += reachedKernel[i];
+        if (kernelItems > 0)
+            co_await sim::sleep(gpu.scaled(gpu.batchedDuration(
+                calibration::lbpKernelTime, kernelItems)));
+        // Batched compare for the pairs with an enrolled image; the
+        // rest resolve to UnknownLabel.
+        pairs.clear();
+        pairIdx.clear();
+        for (std::size_t i = 0; i < n; ++i) {
+            if (!reachedKernel[i])
+                continue;
+            if (enrolled[i] && enrolled[i]->size() == faceVerImageBytes) {
+                pairs.push_back(
+                    {std::span<const std::uint8_t>(msgs[i].payload)
+                         .subspan(faceVerLabelBytes),
+                     *enrolled[i]});
+                pairIdx.push_back(i);
+            } else {
+                respB[i] =
+                    static_cast<std::uint8_t>(FaceVerResult::UnknownLabel);
+            }
+        }
+        std::vector<std::uint8_t> matched =
+            lbpVerifyBatch(pairs, 32, 32, faceVerThreshold);
+        for (std::size_t j = 0; j < matched.size(); ++j)
+            respB[pairIdx[j]] = static_cast<std::uint8_t>(
+                matched[j] ? FaceVerResult::Match : FaceVerResult::NoMatch);
+        items.clear();
+        for (std::size_t i = 0; i < n; ++i)
+            items.push_back(
+                {msgs[i].tag, std::span<const std::uint8_t>(&respB[i], 1),
+                 0});
+        co_await serverQ.sendBatch(items);
     }
 }
 

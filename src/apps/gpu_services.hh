@@ -43,12 +43,14 @@ namespace lynx::apps {
 
 /**
  * Dynamic request batching policy shared by the persistent-kernel
- * services. Off by default: maxBatch = 1 leaves the seed per-message
- * serve loop (and its exact timing) untouched.
+ * services. Every service has one serve loop; maxBatch = 1 (default)
+ * runs it on batches of one, the seed per-message timing tick for
+ * tick.
  */
 struct ServiceBatchConfig
 {
-    /** Serve up to this many requests per iteration; 1 = off. */
+    /** Serve up to this many requests per iteration; 1 = one at a
+     *  time (unbatched). */
     int maxBatch = 1;
 
     /** Bounded wait to top up a partial batch under backlog. An idle
@@ -65,9 +67,9 @@ struct ServiceBatchConfig
  * and waits for a predefined period emulating request processing",
  * §6.2). Holds one threadblock slot forever.
  *
- * With @p batch enabled, requests are drained with recvBatch (one
- * poll + one consumer update per sweep), processed back-to-back, and
- * answered with sendBatch (one doorbell write per ring segment);
+ * Requests are drained with recvBatch (one poll + one consumer
+ * update per sweep, up to @p batch.maxBatch), processed back-to-back,
+ * and answered with sendBatch (one doorbell write per ring segment);
  * emulated processing stays serial per request.
  */
 sim::Task runEchoBlock(accel::Gpu &gpu, core::AccelQueue &q,
@@ -101,8 +103,8 @@ struct LenetServiceConfig
 
     /** Dynamic request batching: classify up to this many images per
      *  batched child-kernel sequence (one launch per layer for the
-     *  whole batch, occupancy-aware duration). 1 = off (seed
-     *  behaviour, bit-identical timing). */
+     *  whole batch, occupancy-aware duration). 1 = one image per
+     *  launch (seed behaviour, bit-identical timing). */
     int maxBatch = 1;
 
     /** Bounded top-up wait for a partial batch under backlog (see
@@ -148,11 +150,11 @@ constexpr double faceVerThreshold = 400.0;
  * compare (≈50 us of GPU time, real LBP result), and replies with a
  * FaceVerResult byte.
  *
- * With @p batch enabled, a drained batch issues its backend GETs as
- * one sendBatch on @p dbQ, collects the replies, charges one
- * occupancy-aware batched LBP kernel for the whole batch, and
- * answers with one sendBatch on @p serverQ. Per-request answers are
- * bit-identical to the unbatched path.
+ * Each drained batch (up to @p batch.maxBatch requests) issues its
+ * backend GETs as one sendBatch on @p dbQ, collects the replies,
+ * charges one occupancy-aware batched LBP kernel for the whole batch,
+ * and answers with one sendBatch on @p serverQ. Per-request answers
+ * do not depend on the batch size.
  */
 sim::Task runFaceVerWorker(accel::Gpu &gpu, core::AccelQueue &serverQ,
                            core::AccelQueue &dbQ,

@@ -103,27 +103,30 @@ lbpHistogramInto(std::span<const std::uint8_t> img, int w, int h,
     };
     static constexpr int dx[8] = {-1, 0, 1, 1, 1, 0, -1, -1};
     static constexpr int dy[8] = {-1, -1, -1, 0, 1, 1, 1, 0};
+    // Raw pointers: a byte store through a caller-owned vector would
+    // otherwise make the compiler reload the vector's own pointers.
     codes.resize(img.size());
+    std::uint8_t *const code = codes.data();
     for (int y = 0; y < h; ++y) {
         for (int x = 0; x < w; ++x) {
             std::uint8_t c = at(x, y);
-            std::uint8_t code = 0;
+            std::uint8_t bits = 0;
             for (int i = 0; i < 8; ++i) {
                 if (at(x + dx[i], y + dy[i]) >= c)
-                    code = static_cast<std::uint8_t>(code | (1u << i));
+                    bits = static_cast<std::uint8_t>(bits | (1u << i));
             }
-            codes[static_cast<std::size_t>(y) * w + x] = code;
+            code[static_cast<std::size_t>(y) * w + x] = bits;
         }
     }
     hist.assign(static_cast<std::size_t>(cells) * cells * 256, 0);
+    std::uint32_t *const bins = hist.data();
     for (int y = 0; y < h; ++y) {
         const int cy = std::min(y * cells / h, cells - 1);
         for (int x = 0; x < w; ++x) {
             const int cx = std::min(x * cells / w, cells - 1);
             const std::size_t cell =
                 static_cast<std::size_t>(cy) * cells + cx;
-            ++hist[cell * 256 +
-                   codes[static_cast<std::size_t>(y) * w + x]];
+            ++bins[cell * 256 + code[static_cast<std::size_t>(y) * w + x]];
         }
     }
 }
@@ -149,10 +152,17 @@ std::vector<std::uint8_t>
 lbpVerifyBatch(std::span<const LbpPair> pairs, int w, int h,
                double threshold, int cells)
 {
-    auto dist = lbpDistanceBatch(pairs, w, h, cells);
-    std::vector<std::uint8_t> out(dist.size());
-    for (std::size_t i = 0; i < dist.size(); ++i)
-        out[i] = dist[i] <= threshold ? 1 : 0;
+    // The lbpDistanceBatch loop, thresholded as it goes: no
+    // intermediate distance vector.
+    std::vector<std::uint8_t> out;
+    out.reserve(pairs.size());
+    std::vector<std::uint8_t> codes;
+    std::vector<std::uint32_t> ha, hb;
+    for (const LbpPair &p : pairs) {
+        lbpHistogramInto(p.a, w, h, cells, codes, ha);
+        lbpHistogramInto(p.b, w, h, cells, codes, hb);
+        out.push_back(lbpChiSquare(ha, hb) <= threshold ? 1 : 0);
+    }
     return out;
 }
 

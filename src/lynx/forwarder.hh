@@ -60,7 +60,7 @@ struct ForwarderConfig
 
     /** TX slots fetched per pipelined RDMA read
      *  (SnicMqueue::pollTxBatch); 1 = one post + fetch round per
-     *  slot, exactly the unbatched behaviour. */
+     *  slot, the unbatched behaviour as a batch of one. */
     int maxBatch = 1;
 
     /** Scale the discovery delay with observed idleness instead of
@@ -159,6 +159,10 @@ class Forwarder
     run()
     {
         sim::Tick lastProgress = sim_.now();
+        const auto maxBatch =
+            static_cast<std::size_t>(std::max(cfg_.maxBatch, 1));
+        // Reused across drains: a fetch allocates no batch vector.
+        std::vector<TxMessage> batch;
         for (;;) {
             activity_.close();
             bool progress = false;
@@ -175,32 +179,20 @@ class Forwarder
                     continue;
                 }
                 e.pendingTx = false;
-                if (cfg_.maxBatch > 1) {
-                    // Drain in pipelined batches: one RDMA fetch per
-                    // group of ready slots, one credit commit per
-                    // drain (instead of post+fetch rounds per slot).
-                    for (;;) {
-                        auto batch = co_await e.mq->pollTxBatch(
-                            core_,
-                            static_cast<std::size_t>(cfg_.maxBatch));
-                        if (batch.empty())
-                            break;
-                        progress = true;
-                        cBatchFetches_->add();
-                        if (cfg_.tenants && batch.size() > 1 &&
-                            e.mq->kind() == MqueueKind::Server)
-                            orderByTenantClass(*e.mq, batch);
-                        for (auto &txm : batch)
-                            co_await forwardOne(e, std::move(txm));
-                    }
-                } else {
-                    for (;;) {
-                        auto txm = co_await e.mq->pollTx(core_);
-                        if (!txm)
-                            break;
-                        progress = true;
-                        co_await forwardOne(e, std::move(*txm));
-                    }
+                // Drain in pipelined batches: one RDMA fetch per group
+                // of ready slots, one credit commit per drain.
+                for (;;) {
+                    batch.clear();
+                    co_await e.mq->pollTxBatch(core_, maxBatch, batch);
+                    if (batch.empty())
+                        break;
+                    progress = true;
+                    cBatchFetches_->add();
+                    if (cfg_.tenants && batch.size() > 1 &&
+                        e.mq->kind() == MqueueKind::Server)
+                        orderByTenantClass(*e.mq, batch);
+                    for (auto &txm : batch)
+                        co_await forwardOne(e, std::move(txm));
                 }
                 if (e.mq->txCommitPending())
                     co_await e.mq->commitTxCons(core_);

@@ -28,10 +28,8 @@ AccelQueue::AccelQueue(sim::Simulator &sim, std::string name,
     cTxMsgs_ = &stats_.counter("tx_msgs");
     cTxBytes_ = &stats_.counter("tx_bytes");
     cTxStalls_ = &stats_.counter("tx_stalls");
-    cBatchRecvs_ = &stats_.counter("batch.recvs");
-    cBatchRecvMsgs_ = &stats_.counter("batch.recv_msgs");
-    cBatchSends_ = &stats_.counter("batch.sends");
-    cBatchSendMsgs_ = &stats_.counter("batch.send_msgs");
+    hBatchRecvSize_ = &stats_.histogram("batch.recv_size");
+    hBatchSendSize_ = &stats_.histogram("batch.send_size");
 
     sim_.metrics().add("gio." + name_, stats_);
 }
@@ -46,7 +44,7 @@ AccelQueue::~AccelQueue()
 bool
 AccelQueue::rxReady() const
 {
-    if (!burst_.empty())
+    if (stagedHead_ < staged_.size())
         return true;
     SlotMeta meta = readSlotMeta(mem_, layout_.rxSlotEnd(rxConsumed_));
     return meta.seq == static_cast<std::uint32_t>(rxConsumed_ + 1);
@@ -55,159 +53,102 @@ AccelQueue::rxReady() const
 sim::Co<GioMessage>
 AccelQueue::recv()
 {
-    // Burst-drained messages were fully paid for (poll, copy, register
-    // update) at sweep time; handing one out is a register move.
-    if (!burst_.empty()) {
-        GioMessage msg = std::move(burst_.front());
-        burst_.pop_front();
-        if (sim::SpanCollector *spans = sim_.spans())
-            spans->stampTag(&mem_, layout_.base, msg.tag,
-                            sim::Stage::AppStart, sim_.now());
-        co_return msg;
-    }
-    for (;;) {
-        rxActivity_.close();
-        // One poll of the doorbell word in local memory.
-        co_await sim::sleep(cfg_.localLatency);
-        std::uint64_t slotEnd = layout_.rxSlotEnd(rxConsumed_);
-        SlotMeta meta = readSlotMeta(mem_, slotEnd);
-        if (meta.seq == static_cast<std::uint32_t>(rxConsumed_ + 1)) {
-            if (cfg_.rxBurst) {
-                co_await sweepReady(layout_.slots);
-                if (!burst_.empty()) {
-                    GioMessage msg = std::move(burst_.front());
-                    burst_.pop_front();
-                    co_return msg;
-                }
-                // Every swept slot was a repaired-gap marker; keep
-                // waiting for a real message.
-                continue;
-            }
-            if (meta.err == kSlotSkipErr) {
-                // Repaired failover gap (zero-length skip slot):
-                // consume it internally — no application delivery,
-                // no response — and advance the consumer register so
-                // the SNIC's flow control sees the credit.
-                ++rxConsumed_;
-                mem_.writeU32(layout_.rxConsOff(),
-                              static_cast<std::uint32_t>(rxConsumed_));
-                co_await sim::sleep(cfg_.localLatency);
-                cRxSkipped_->add();
-                continue;
-            }
-            GioMessage msg;
-            msg.tag = meta.tag;
-            msg.err = meta.err;
-            msg.payload = readSlotPayload(mem_, slotEnd, meta);
-            if (sim::SpanCollector *spans = sim_.spans())
-                spans->stampTag(&mem_, layout_.base, meta.tag,
-                                sim::Stage::GioPop, sim_.now());
-            co_await sim::sleep(static_cast<sim::Tick>(
-                cfg_.perByte * static_cast<double>(meta.len)));
-            ++rxConsumed_;
-            // Update the consumer register (local write; the SNIC
-            // reads it lazily over RDMA for flow control).
-            mem_.writeU32(layout_.rxConsOff(),
-                          static_cast<std::uint32_t>(rxConsumed_));
-            co_await sim::sleep(cfg_.localLatency);
-            cRxMsgs_->add();
-            cRxBytes_->add(meta.len);
-            if (sim::SpanCollector *spans = sim_.spans())
-                spans->stampTag(&mem_, layout_.base, meta.tag,
-                                sim::Stage::AppStart, sim_.now());
-            co_return msg;
-        }
-        co_await rxActivity_.wait();
-    }
-}
-
-std::vector<GioMessage>
-AccelQueue::popBurst(std::size_t maxN)
-{
-    std::vector<GioMessage> out;
-    out.reserve(std::min(maxN, burst_.size()));
-    sim::SpanCollector *spans = sim_.spans();
-    while (out.size() < maxN && !burst_.empty()) {
-        GioMessage msg = std::move(burst_.front());
-        burst_.pop_front();
-        if (spans)
-            spans->stampTag(&mem_, layout_.base, msg.tag,
-                            sim::Stage::AppStart, sim_.now());
-        out.push_back(std::move(msg));
-    }
-    return out;
-}
-
-sim::Co<std::vector<GioMessage>>
-AccelQueue::recvBatch(std::size_t maxN)
-{
-    LYNX_ASSERT(maxN >= 1, name_, ": recvBatch of ", maxN, " messages");
-    for (;;) {
-        // Earlier sweeps may have staged more than their caller took.
-        if (!burst_.empty())
-            break;
-        rxActivity_.close();
-        // One doorbell poll discovers the whole run of ready slots.
-        co_await sim::sleep(cfg_.localLatency);
-        SlotMeta meta = readSlotMeta(mem_, layout_.rxSlotEnd(rxConsumed_));
-        if (meta.seq == static_cast<std::uint32_t>(rxConsumed_ + 1)) {
-            co_await sweepReady(maxN);
-            if (!burst_.empty())
-                break;
-            // Every swept slot was a repaired-gap marker.
-            continue;
-        }
-        co_await rxActivity_.wait();
-    }
-    std::vector<GioMessage> out = popBurst(maxN);
-    cBatchRecvs_->add();
-    cBatchRecvMsgs_->add(out.size());
-    stats_.histogram("batch.recv_size").record(out.size());
-    co_return out;
-}
-
-sim::Co<std::vector<GioMessage>>
-AccelQueue::tryRecvBatch(std::size_t maxN)
-{
-    LYNX_ASSERT(maxN >= 1, name_, ": tryRecvBatch of ", maxN,
-                " messages");
-    if (burst_.empty()) {
-        // One probe of the doorbell word; no parking.
-        co_await sim::sleep(cfg_.localLatency);
-        SlotMeta meta = readSlotMeta(mem_, layout_.rxSlotEnd(rxConsumed_));
-        if (meta.seq == static_cast<std::uint32_t>(rxConsumed_ + 1))
-            co_await sweepReady(maxN);
-    }
-    std::vector<GioMessage> out = popBurst(maxN);
-    if (!out.empty()) {
-        cBatchRecvs_->add();
-        cBatchRecvMsgs_->add(out.size());
-        stats_.histogram("batch.recv_size").record(out.size());
-    }
-    co_return out;
+    co_await receive(sweepWidth(1), /*park=*/true, 1, rxOne_);
+    GioMessage msg = std::move(rxOne_.front());
+    rxOne_.clear();
+    co_return msg;
 }
 
 sim::Co<void>
-AccelQueue::sweepReady(std::uint64_t maxSlots)
+AccelQueue::recvBatch(std::size_t maxN, std::vector<GioMessage> &out)
 {
-    // Multi-slot doorbell consumption: a batched SNIC write lands all
-    // its doorbells atomically, so the run of consecutive ready slots
-    // from rxConsumed_ is exactly the (tail of the) batch. The one
-    // doorbell poll already paid by recv() discovered the whole run;
-    // the sweep pays the payload copies and a single consumer-register
-    // update for all of it. Repaired-gap markers (kSlotSkipErr) are
-    // consumed but never staged for delivery.
-    std::uint64_t drained = 0;
-    std::uint64_t skipped = 0;
-    std::uint64_t sweptBytes = 0;
-    for (;;) {
-        std::uint64_t slotEnd = layout_.rxSlotEnd(rxConsumed_ + drained);
+    LYNX_ASSERT(maxN >= 1, name_, ": recvBatch of ", maxN, " messages");
+    return receive(sweepWidth(maxN), /*park=*/true, maxN, out);
+}
+
+sim::Co<void>
+AccelQueue::tryRecvBatch(std::size_t maxN, std::vector<GioMessage> &out)
+{
+    LYNX_ASSERT(maxN >= 1, name_, ": tryRecvBatch of ", maxN,
+                " messages");
+    return receive(maxN, /*park=*/false, maxN, out);
+}
+
+sim::Co<void>
+AccelQueue::receive(std::uint64_t maxSlots, bool park, std::size_t maxN,
+                    std::vector<GioMessage> &out)
+{
+    const std::size_t first = out.size();
+    // Messages left over from an earlier, wider sweep were fully paid
+    // for (poll, copy, register update); handing them out costs
+    // nothing and needs no poll.
+    while (stagedHead_ < staged_.size() && out.size() - first < maxN)
+        out.push_back(std::move(staged_[stagedHead_++]));
+    if (stagedHead_ == staged_.size()) {
+        staged_.clear();
+        stagedHead_ = 0;
+    }
+    while (out.size() == first) {
+        rxActivity_.close();
+        // One doorbell poll discovers the whole run of ready slots.
+        co_await sim::sleep(cfg_.localLatency);
+        Sweep sw = sweepReady(maxSlots, maxN, out);
+        if (sw.drained > 0) {
+            // Multi-slot doorbell consumption: the sweep pays the
+            // payload copies and one consumer-register update for the
+            // whole run. Skip markers carry no payload: a sweep of
+            // nothing but markers takes no copy step at all.
+            if (sw.drained > sw.skipped)
+                co_await sim::sleep(static_cast<sim::Tick>(
+                    cfg_.perByte * static_cast<double>(sw.bytes)));
+            rxConsumed_ += sw.drained;
+            mem_.writeU32(layout_.rxConsOff(),
+                          static_cast<std::uint32_t>(rxConsumed_));
+            co_await sim::sleep(cfg_.localLatency);
+            cRxMsgs_->add(sw.drained - sw.skipped);
+            cRxBytes_->add(sw.bytes);
+            cRxBursts_->add();
+            if (sw.skipped > 0)
+                cRxSkipped_->add(sw.skipped);
+        } else if (park) {
+            co_await rxActivity_.wait();
+        }
+        // A sweep of repaired-gap markers only delivers nothing: a
+        // parked receive keeps polling for a real message.
+        if (!park)
+            break;
+    }
+    const std::size_t n = out.size() - first;
+    if (n == 0)
+        co_return;
+    if (sim::SpanCollector *spans = sim_.spans()) {
+        for (std::size_t i = first; i < out.size(); ++i)
+            spans->stampTag(&mem_, layout_.base, out[i].tag,
+                            sim::Stage::AppStart, sim_.now());
+    }
+    hBatchRecvSize_->record(n);
+}
+
+AccelQueue::Sweep
+AccelQueue::sweepReady(std::uint64_t maxSlots, std::size_t maxN,
+                       std::vector<GioMessage> &out)
+{
+    // A batched SNIC write lands all its doorbells atomically, so the
+    // run of consecutive ready slots from rxConsumed_ is exactly the
+    // (tail of the) batch. Repaired-gap markers (kSlotSkipErr) are
+    // consumed but never delivered.
+    const std::size_t first = out.size();
+    Sweep sw;
+    const std::uint64_t maxDrain =
+        std::min<std::uint64_t>(maxSlots, layout_.slots);
+    while (sw.drained < maxDrain) {
+        std::uint64_t slotEnd = layout_.rxSlotEnd(rxConsumed_ + sw.drained);
         SlotMeta meta = readSlotMeta(mem_, slotEnd);
         if (meta.seq !=
-            static_cast<std::uint32_t>(rxConsumed_ + drained + 1))
+            static_cast<std::uint32_t>(rxConsumed_ + sw.drained + 1))
             break;
         if (meta.err == kSlotSkipErr) {
-            ++skipped;
+            ++sw.skipped;
         } else {
             GioMessage msg;
             msg.tag = meta.tag;
@@ -216,68 +157,21 @@ AccelQueue::sweepReady(std::uint64_t maxSlots)
             if (sim::SpanCollector *spans = sim_.spans())
                 spans->stampTag(&mem_, layout_.base, meta.tag,
                                 sim::Stage::GioPop, sim_.now());
-            sweptBytes += meta.len;
-            burst_.push_back(std::move(msg));
+            sw.bytes += meta.len;
+            (out.size() - first < maxN ? out : staged_)
+                .push_back(std::move(msg));
         }
-        if (++drained == std::min<std::uint64_t>(maxSlots, layout_.slots))
-            break;
+        ++sw.drained;
     }
-    LYNX_ASSERT(drained > 0, name_, ": burst sweep found no doorbell");
-    co_await sim::sleep(static_cast<sim::Tick>(
-        cfg_.perByte * static_cast<double>(sweptBytes)));
-    rxConsumed_ += drained;
-    mem_.writeU32(layout_.rxConsOff(),
-                  static_cast<std::uint32_t>(rxConsumed_));
-    co_await sim::sleep(cfg_.localLatency);
-    cRxMsgs_->add(drained - skipped);
-    cRxBytes_->add(sweptBytes);
-    cRxBursts_->add();
-    if (skipped > 0)
-        cRxSkipped_->add(skipped);
+    return sw;
 }
 
 sim::Co<void>
 AccelQueue::send(std::uint32_t tag, std::span<const std::uint8_t> payload,
                  std::uint32_t err)
 {
-    LYNX_ASSERT(payload.size() <= layout_.maxPayload(), name_,
-                ": payload of ", payload.size(), " bytes exceeds slot");
-    // The app hands over its response here: compute ends now (any
-    // flow-control stall below is queueing, not compute).
-    if (sim::SpanCollector *spans = sim_.spans())
-        spans->stampTag(&mem_, layout_.base, tag, sim::Stage::AppEnd,
-                        sim_.now());
-    // Flow control: wait for TX-ring space (SNIC returns credit by
-    // writing txCons after forwarding).
-    for (;;) {
-        txConsActivity_.close();
-        co_await sim::sleep(cfg_.localLatency);
-        txConsCache_ =
-            advance(txConsCache_, mem_.readU32(layout_.txConsOff()));
-        if (txProduced_ - txConsCache_ < layout_.slots)
-            break;
-        cTxStalls_->add();
-        co_await txConsActivity_.wait();
-    }
-
-    SlotMeta meta;
-    meta.len = static_cast<std::uint32_t>(payload.size());
-    meta.tag = tag;
-    meta.err = err;
-    meta.seq = static_cast<std::uint32_t>(txProduced_ + 1);
-    auto buf = encodeSlotWrite(payload, meta);
-
-    co_await sim::sleep(
-        cfg_.localLatency +
-        static_cast<sim::Tick>(cfg_.perByte *
-                               static_cast<double>(payload.size())));
-    // One contiguous low-to-high write, doorbell bytes last; the
-    // SNIC-side watchpoint on the TX ring wakes the forwarder.
-    std::uint64_t slotEnd = layout_.txSlotEnd(txProduced_);
-    mem_.write(slotWriteOffset(slotEnd, meta.len), buf);
-    ++txProduced_;
-    cTxMsgs_->add();
-    cTxBytes_->add(meta.len);
+    const GioTxItem item{tag, payload, err};
+    co_await sendBatch({&item, 1});
 }
 
 sim::Co<void>
@@ -296,8 +190,6 @@ AccelQueue::sendBatch(std::span<const GioTxItem> items)
             spans->stampTag(&mem_, layout_.base, it.tag,
                             sim::Stage::AppEnd, sim_.now());
     }
-    std::vector<SlotRecord> recs;
-    recs.reserve(items.size());
     std::size_t sent = 0;
     while (sent < items.size()) {
         // Flow control: wait for at least one TX-ring credit.
@@ -319,7 +211,7 @@ AccelQueue::sendBatch(std::span<const GioTxItem> items)
             layout_.slots - txProduced_ % layout_.slots;
         std::size_t n = static_cast<std::size_t>(std::min<std::uint64_t>(
             {items.size() - sent, credit, untilWrap}));
-        recs.clear();
+        txRecs_.clear();
         std::uint64_t segBytes = 0;
         for (std::size_t j = 0; j < n; ++j) {
             const GioTxItem &it = items[sent + j];
@@ -328,11 +220,11 @@ AccelQueue::sendBatch(std::span<const GioTxItem> items)
             meta.tag = it.tag;
             meta.err = it.err;
             meta.seq = static_cast<std::uint32_t>(txProduced_ + j + 1);
-            recs.push_back({it.payload, meta});
+            txRecs_.push_back({it.payload, meta});
             segBytes += it.payload.size();
         }
         auto [off, buf] =
-            encodeTxBatchSegment(layout_, txProduced_, recs);
+            encodeTxBatchSegment(layout_, txProduced_, txRecs_);
         co_await sim::sleep(
             cfg_.localLatency +
             static_cast<sim::Tick>(cfg_.perByte *
@@ -347,9 +239,7 @@ AccelQueue::sendBatch(std::span<const GioTxItem> items)
         cTxMsgs_->add(n);
         cTxBytes_->add(segBytes);
     }
-    cBatchSends_->add();
-    cBatchSendMsgs_->add(items.size());
-    stats_.histogram("batch.send_size").record(items.size());
+    hBatchSendSize_->record(items.size());
 }
 
 } // namespace lynx::core

@@ -21,7 +21,6 @@
 #define LYNX_LYNX_GIO_HH
 
 #include <cstdint>
-#include <deque>
 #include <span>
 #include <string>
 #include <vector>
@@ -45,12 +44,14 @@ struct GioConfig
     /** Per-byte cost of reading/writing payload in local memory. */
     double perByte = 0.15;
 
-    /** Consume multi-slot doorbells: when the SNIC lands a batched
-     *  RX write, one doorbell poll discovers the whole run of ready
-     *  slots; recv() drains them in one sweep (one poll latency, one
-     *  consumer-register update) and serves the surplus from a local
-     *  staging queue. Off (default) = one poll + one register write
-     *  per message, exactly the unbatched behaviour. */
+    /** Widen the sweep of a one-message receive (recv() or
+     *  recvBatch(1)) to every ready slot: when the SNIC lands a
+     *  batched RX write, one doorbell poll discovers the whole run,
+     *  one sweep drains it (one poll latency, one consumer-register
+     *  update) and the surplus is served from the staged messages.
+     *  Off (default) = one poll + one register write per message,
+     *  the unbatched behaviour. A receive of up to maxN > 1 sweeps at
+     *  most maxN either way. */
     bool rxBurst = false;
 };
 
@@ -100,7 +101,8 @@ class AccelQueue
     const MqueueLayout &layout() const { return layout_; }
 
     /** Await the next request from the RX ring (zero-copy read of
-     *  accelerator-local memory). */
+     *  accelerator-local memory): recvBatch(1) returning the message
+     *  itself. */
     sim::Co<GioMessage> recv();
 
     /** Non-blocking probe: @return whether recv() would not park. */
@@ -112,21 +114,23 @@ class AccelQueue
      * consecutive ready slots, and one consumer-register update
      * acknowledges all of them (dynamic request batching, the
      * accelerator-side consumer of the SNIC's batched RDMA pushes).
-     * Surplus ready slots beyond @p maxN stay staged for the next
-     * call. Always returns 1..maxN messages.
+     * Messages staged by an earlier, wider sweep are served first.
+     * Always appends 1..maxN messages to @p out.
      */
-    sim::Co<std::vector<GioMessage>> recvBatch(std::size_t maxN);
+    sim::Co<void> recvBatch(std::size_t maxN, std::vector<GioMessage> &out);
 
     /**
      * Non-blocking variant of recvBatch(): pays one doorbell poll and
-     * returns whatever is ready *now* (possibly nothing). Used by the
+     * appends whatever is ready *now* (possibly nothing). Used by the
      * services' bounded-linger policy to top up a partial batch.
      */
-    sim::Co<std::vector<GioMessage>> tryRecvBatch(std::size_t maxN);
+    sim::Co<void> tryRecvBatch(std::size_t maxN,
+                               std::vector<GioMessage> &out);
 
     /**
-     * Write a message into the TX ring and ring its doorbell.
-     * Suspends while the TX ring is full (SNIC not yet forwarded).
+     * Write a message into the TX ring and ring its doorbell: a
+     * sendBatch() of one item. Suspends while the TX ring is full
+     * (SNIC not yet forwarded).
      */
     sim::Co<void> send(std::uint32_t tag,
                        std::span<const std::uint8_t> payload,
@@ -138,9 +142,9 @@ class AccelQueue
      * each doorbell after its payload, the batch's highest doorbell
      * last — so the SNIC forwarder's batched TX drain observes the
      * whole run at once. Splits only at ring wrap or when flow
-     * control runs out of credit (then stalls like send() until the
-     * SNIC returns credit). Equivalent to send() per item, minus the
-     * per-item poll and doorbell costs.
+     * control runs out of credit (then stalls until the SNIC
+     * returns credit). One item costs one credit poll, one payload
+     * copy and one doorbell write.
      */
     sim::Co<void> sendBatch(std::span<const GioTxItem> items);
 
@@ -148,15 +152,38 @@ class AccelQueue
     sim::StatSet &stats() { return stats_; }
 
   private:
-    /** Sweep the run of consecutive ready RX slots — at most
-     *  @p maxSlots of them — into burst_ (@pre slot rxConsumed_ is
-     *  ready and its poll latency has been paid). Repaired-gap skip
-     *  slots are consumed without staging, so burst_ may stay empty. */
-    sim::Co<void> sweepReady(std::uint64_t maxSlots);
+    /** @return the sweep width of a blocking receive of up to
+     *  @p maxN messages (GioConfig::rxBurst). */
+    std::uint64_t
+    sweepWidth(std::size_t maxN) const
+    {
+        return maxN == 1 && cfg_.rxBurst ? layout_.slots : maxN;
+    }
 
-    /** Pop up to @p maxN staged messages out of burst_, stamping
-     *  AppStart on each (costs were paid at sweep time). */
-    std::vector<GioMessage> popBurst(std::size_t maxN);
+    /** The one receive path: append up to @p maxN messages to
+     *  @p out — staged ones if an earlier sweep left any, else those
+     *  of a sweep of at most @p maxSlots ready slots after one
+     *  doorbell poll, repeated until a message arrives (or, with
+     *  @p park = false, tried once) — stamping AppStart on each and
+     *  recording them as one delivered batch. */
+    sim::Co<void> receive(std::uint64_t maxSlots, bool park,
+                          std::size_t maxN, std::vector<GioMessage> &out);
+
+    /** What one sweep consumed. */
+    struct Sweep
+    {
+        std::uint64_t drained = 0;
+        std::uint64_t skipped = 0;
+        std::uint64_t bytes = 0;
+    };
+
+    /** Read the run of consecutive ready RX slots from rxConsumed_ —
+     *  at most @p maxSlots of them, none if its doorbell is not rung:
+     *  the first @p maxN messages go to @p out, the rest to staged_.
+     *  Repaired-gap skip slots are consumed without delivery. The
+     *  caller pays the costs and advances rxConsumed_. */
+    Sweep sweepReady(std::uint64_t maxSlots, std::size_t maxN,
+                     std::vector<GioMessage> &out);
 
     /** Extend 32-bit register value @p observed onto 64-bit @p cache. */
     static std::uint64_t
@@ -176,9 +203,20 @@ class AccelQueue
     std::uint64_t txProduced_ = 0;
     std::uint64_t txConsCache_ = 0;
 
-    /** Messages drained by a burst sweep but not yet recv()ed (their
-     *  poll + copy costs were paid at sweep time). */
-    std::deque<GioMessage> burst_;
+    /** Messages a sweep read beyond its receive's maxN (their poll +
+     *  copy costs were paid at sweep time): staged_[stagedHead_..].
+     *  Sweeps only run once every staged message is delivered, so the
+     *  vector is cleared then and refilled in its kept capacity. */
+    std::vector<GioMessage> staged_;
+    std::size_t stagedHead_ = 0;
+
+    /** recv()'s output vector. A ring has one consumer (rxConsumed_
+     *  is its own), so one recv() at a time uses it. */
+    std::vector<GioMessage> rxOne_;
+
+    /** Scratch record list of sendBatch (filled and encoded with no
+     *  suspension in between, so concurrent senders cannot clash). */
+    std::vector<SlotRecord> txRecs_;
 
     sim::Gate rxActivity_;
     sim::Gate txConsActivity_;
@@ -195,10 +233,8 @@ class AccelQueue
     sim::Counter *cTxMsgs_;
     sim::Counter *cTxBytes_;
     sim::Counter *cTxStalls_;
-    sim::Counter *cBatchRecvs_;
-    sim::Counter *cBatchRecvMsgs_;
-    sim::Counter *cBatchSends_;
-    sim::Counter *cBatchSendMsgs_;
+    sim::Histogram *hBatchRecvSize_;
+    sim::Histogram *hBatchSendSize_;
 };
 
 } // namespace lynx::core

@@ -47,6 +47,7 @@ SnicMqueue::SnicMqueue(sim::Simulator &sim, std::string name,
     cPfcResumes_ = &stats_.counter("pfc_resumes");
     cPfcStormBreaks_ = &stats_.counter("pfc_storm_breaks");
     hPauseTicks_ = &stats_.histogram("pfc_pause_ticks");
+    hTxBatchSize_ = &stats_.histogram("tx_batch_size");
 
     sim_.metrics().add("lynx.mq." + name_, stats_);
 }
@@ -338,90 +339,55 @@ SnicMqueue::writeSlotInParts(sim::Core &core, std::uint64_t slot,
     co_return co_await pushWrite(core, tailOff, std::move(tail));
 }
 
-sim::Co<std::optional<TxMessage>>
-SnicMqueue::pollTx(sim::Core &core)
+sim::Co<void>
+SnicMqueue::pollTxBatch(sim::Core &core, std::size_t maxN,
+                        std::vector<TxMessage> &out)
 {
     // The forwarder issues a stream of pipelined RDMA reads over the
     // TX doorbells and slots; modelling each read as a full blocking
     // round trip would serialize what the NIC overlaps. We therefore
-    // check the doorbell against current memory (exact, because a
-    // slot is never rewritten before its credit returns) and charge
-    // the post cost plus the one-way fetch latency of the slot for a
-    // hit. Misses are free: the forwarder only polls queues whose
-    // doorbell watchpoint fired, and pays the round-robin scan cost
-    // separately.
+    // read the ready run from current memory (exact, because a slot
+    // is never rewritten before its credit returns, so what is ready
+    // now is what the fetch lands) and charge one post cost plus the
+    // fetch latency and serialization of the whole run. Misses are
+    // free: the forwarder only polls queues whose doorbell watchpoint
+    // fired, and pays the round-robin scan cost separately.
+    LYNX_ASSERT(maxN >= 1, name_, ": pollTxBatch of ", maxN, " slots");
     cTxPolls_->add();
-    std::uint64_t slotEnd = layout_.txSlotEnd(txConsumed_);
-    SlotMeta meta = readSlotMeta(qp_.target(), slotEnd);
-    if (meta.seq != static_cast<std::uint32_t>(txConsumed_ + 1))
-        co_return std::nullopt;
-
-    if (!co_await txFetch(core, meta.len + SlotMeta::bytes))
-        co_return std::nullopt;
-
-    TxMessage msg;
-    msg.payload = readSlotPayload(qp_.target(), slotEnd, meta);
-    msg.tag = meta.tag;
-    msg.err = meta.err;
-    ++txConsumed_;
-    LYNX_TRACE(sim_, "mqueue", name_, ": tx pop seq ", meta.seq,
-               " len ", meta.len, " tag ", meta.tag);
-    cTxFetchOps_->add();
-    cTxPopped_->add();
-    cTxBytes_->add(meta.len);
-    co_return msg;
-}
-
-sim::Co<std::vector<TxMessage>>
-SnicMqueue::pollTxBatch(sim::Core &core, std::size_t maxN)
-{
-    // Doorbell scan against current memory — exact for the same
-    // reason pollTx's check is (a slot is never rewritten before its
-    // credit returns), so every slot ready now is still intact when
-    // the pipelined fetch lands.
-    cTxPolls_->add();
+    const std::size_t first = out.size();
     std::size_t k = 0;
     std::uint64_t fetchBytes = 0;
-    std::vector<SlotMeta> metas;
+    std::uint64_t payloadBytes = 0;
     while (k < maxN && k < layout_.slots) {
-        SlotMeta meta =
-            readSlotMeta(qp_.target(), layout_.txSlotEnd(txConsumed_ + k));
+        std::uint64_t slotEnd = layout_.txSlotEnd(txConsumed_ + k);
+        SlotMeta meta = readSlotMeta(qp_.target(), slotEnd);
         if (meta.seq !=
             static_cast<std::uint32_t>(txConsumed_ + k + 1))
             break;
+        TxMessage msg;
+        msg.payload = readSlotPayload(qp_.target(), slotEnd, meta);
+        msg.tag = meta.tag;
+        msg.err = meta.err;
+        out.push_back(std::move(msg));
         fetchBytes += meta.len + SlotMeta::bytes;
-        metas.push_back(meta);
+        payloadBytes += meta.len;
         ++k;
     }
     if (k == 0)
-        co_return std::vector<TxMessage>{};
-
-    // One pipelined fetch for the whole run: a single post cost, the
-    // fixed fetch latency once, and the serialization of every slot.
-    if (!co_await txFetch(core, fetchBytes))
-        co_return std::vector<TxMessage>{};
-
-    std::vector<TxMessage> out;
-    out.reserve(k);
-    std::uint64_t payloadBytes = 0;
-    for (std::size_t j = 0; j < k; ++j) {
-        TxMessage msg;
-        msg.payload = readSlotPayload(
-            qp_.target(), layout_.txSlotEnd(txConsumed_ + j), metas[j]);
-        msg.tag = metas[j].tag;
-        msg.err = metas[j].err;
-        payloadBytes += metas[j].len;
-        out.push_back(std::move(msg));
+        co_return;
+    if (!co_await txFetch(core, fetchBytes)) {
+        // The fetched data must not be used: nothing is popped.
+        out.resize(first);
+        co_return;
     }
     txConsumed_ += k;
-    LYNX_TRACE(sim_, "mqueue", name_, ": tx batch pop seq ",
+    LYNX_TRACE(sim_, "mqueue", name_, ": tx pop seq ",
                txConsumed_ - k + 1, "..", txConsumed_, " (",
                payloadBytes, " B payload)");
     cTxFetchOps_->add();
     cTxPopped_->add(k);
     cTxBytes_->add(payloadBytes);
-    stats_.histogram("tx_batch_size").record(k);
-    co_return out;
+    hTxBatchSize_->record(k);
 }
 
 sim::Co<void>

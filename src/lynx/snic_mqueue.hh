@@ -205,19 +205,15 @@ class SnicMqueue
     }
 
     /**
-     * Try to pop the next TX-ring message: one RDMA slot read.
-     * @return the message if its doorbell had been rung.
+     * Pop every ready TX-ring message (up to @p maxN, at least 1) in
+     * ONE pipelined RDMA fetch: a single post cost plus the
+     * serialization of all ready slots, instead of a post + fetch
+     * round per slot. @p maxN = 1 is the unbatched one-slot read.
+     * Appends the popped messages to @p out in seq order (nothing if
+     * none is ready or the fetch fails).
      */
-    sim::Co<std::optional<TxMessage>> pollTx(sim::Core &core);
-
-    /**
-     * Pop every ready TX-ring message (up to @p maxN) in ONE
-     * pipelined RDMA fetch: a single post cost plus the serialization
-     * of all ready slots, instead of a post + fetch round per slot.
-     * @return the popped messages, in seq order (empty if none ready).
-     */
-    sim::Co<std::vector<TxMessage>> pollTxBatch(sim::Core &core,
-                                                std::size_t maxN);
+    sim::Co<void> pollTxBatch(sim::Core &core, std::size_t maxN,
+                              std::vector<TxMessage> &out);
 
     /** @return RX messages pushed but (as far as the cached consumer
      *  register shows) not yet consumed by the accelerator. Free —
@@ -486,6 +482,7 @@ class SnicMqueue
     sim::Counter *cPfcResumes_;
     sim::Counter *cPfcStormBreaks_;
     sim::Histogram *hPauseTicks_;
+    sim::Histogram *hTxBatchSize_;
 };
 
 } // namespace lynx::core

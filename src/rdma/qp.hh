@@ -346,7 +346,7 @@ class QueuePair
     /**
      * Latency model of one *pipelined* fetch of @p bytes from target
      * memory (the forwarder's TX-slot reads, which stream without
-     * holding the QP channel — see SnicMqueue::pollTx). Without
+     * holding the QP channel — see SnicMqueue::pollTxBatch). Without
      * faults this is exactly nicLatency + oneWay + serialization;
      * with faults, retransmits add their delays and an exhausted
      * budget returns Error (the fetched data must not be used).

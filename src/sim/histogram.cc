@@ -1,17 +1,6 @@
 #include "histogram.hh"
 
-#include "logging.hh"
-
 namespace lynx::sim {
-
-namespace {
-
-// 64 - subBucketBits doubling ranges on top of the linear range.
-constexpr std::size_t bucketCount = (64 - 5) * 32 + 32;
-
-} // namespace
-
-Histogram::Histogram() : buckets_(bucketCount, 0) {}
 
 std::size_t
 Histogram::indexOf(std::uint64_t value)
@@ -49,7 +38,8 @@ Histogram::record(std::uint64_t value, std::uint64_t n)
     if (n == 0)
         return;
     const std::size_t idx = indexOf(value);
-    LYNX_ASSERT(idx < buckets_.size(), "histogram index out of range");
+    if (idx >= buckets_.size())
+        buckets_.resize(idx + 1, 0);
     buckets_[idx] += n;
     if (count_ == 0 || value < min_)
         min_ = value;
@@ -62,7 +52,9 @@ Histogram::record(std::uint64_t value, std::uint64_t n)
 void
 Histogram::merge(const Histogram &other)
 {
-    for (std::size_t i = 0; i < buckets_.size(); ++i)
+    if (other.buckets_.size() > buckets_.size())
+        buckets_.resize(other.buckets_.size(), 0);
+    for (std::size_t i = 0; i < other.buckets_.size(); ++i)
         buckets_[i] += other.buckets_[i];
     if (other.count_) {
         if (count_ == 0 || other.min_ < min_)

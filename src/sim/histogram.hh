@@ -4,7 +4,9 @@
  *
  * Values are bucketed into powers of two, each split into 32 linear
  * sub-buckets, giving a worst-case quantization error of ~3% across
- * the full 64-bit range while using a few KiB of memory. This is the
+ * the full 64-bit range. Buckets are allocated up to the largest
+ * sample seen, so a histogram of small values (batch sizes) costs a
+ * few hundred bytes and one of latencies a few KiB. This is the
  * same recording approach high-resolution latency tools (HdrHistogram,
  * sockperf) use, and it lets benchmarks report p50/p90/p99 over
  * millions of samples without storing them.
@@ -23,8 +25,6 @@ namespace lynx::sim {
 class Histogram
 {
   public:
-    Histogram();
-
     /** Add one sample. */
     void record(std::uint64_t value);
 
@@ -73,6 +73,7 @@ class Histogram
     /** @return the largest value mapping to bucket @p index. */
     static std::uint64_t upperEdge(std::size_t index);
 
+    /** Counts of buckets 0..size()-1; higher buckets are empty. */
     std::vector<std::uint64_t> buckets_;
     std::uint64_t count_ = 0;
     std::uint64_t min_ = 0;

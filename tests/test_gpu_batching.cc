@@ -132,6 +132,51 @@ TEST(GpuBatching, BatchedLaunchTickExactWithDeviceLaunchAtN1)
     EXPECT_EQ(gpu.stats().counterValue("batched_items"), 1u);
 }
 
+/** The unbatched services are batches of one, so one item must cost
+ *  exactly the scalar kernel for every duration they charge: each
+ *  LeNet layer, the fused LeNet kernel, the LBP compare, and random
+ *  durations up to 10 s, on a clock-scaled GPU as well. */
+TEST(GpuBatching, OneItemBatchCostsExactlyTheScalarKernel)
+{
+    std::vector<sim::Tick> durations{
+        calibration::lenetConv1, calibration::lenetPool1,
+        calibration::lenetConv2, calibration::lenetPool2,
+        calibration::lenetFc1,   calibration::lenetFc2,
+        calibration::lenetSoftmax, calibration::lbpKernelTime};
+    sim::Tick fused = 0;
+    for (std::size_t i = 0; i + 1 < durations.size(); ++i)
+        fused += durations[i];
+    durations.push_back(fused);
+    sim::Rng rng(41);
+    for (int i = 0; i < 200; ++i)
+        durations.push_back(1 + rng.below(10'000'000'000'000ull));
+
+    for (double scale : {1.0, 1.06}) {
+        sim::Simulator s;
+        pcie::Fabric fabric(s, "pcie");
+        accel::GpuConfig gcfg;
+        gcfg.clockScale = scale;
+        accel::Gpu gpu(s, "gpu", fabric, gcfg);
+        for (sim::Tick d : durations)
+            EXPECT_EQ(gpu.batchedDuration(d, 1), d) << "d=" << d;
+        std::vector<sim::Tick> plain, batched;
+        auto run = [&]() -> sim::Task {
+            for (std::size_t i = 0; i < 9; ++i) {
+                sim::Tick t0 = s.now();
+                co_await gpu.deviceLaunch(200, durations[i]);
+                plain.push_back(s.now() - t0);
+                t0 = s.now();
+                co_await gpu.batchedLaunch(200, durations[i], 1);
+                batched.push_back(s.now() - t0);
+            }
+        };
+        sim::spawn(s, run());
+        s.run();
+        ASSERT_EQ(plain.size(), 9u) << "scale " << scale;
+        EXPECT_EQ(plain, batched) << "scale " << scale;
+    }
+}
+
 /*
  * ----- Bit-identical batched compute -----
  */
@@ -228,7 +273,8 @@ TEST(GpuBatching, RecvBatchFidelityAcrossWrapAndFlowControl)
     std::vector<std::uint32_t> gotTags;
     auto drain = [&]() -> sim::Task {
         while (got.size() < msgs.size()) {
-            std::vector<GioMessage> batch = co_await gio.recvBatch(4);
+            std::vector<GioMessage> batch;
+            co_await gio.recvBatch(4, batch);
             EXPECT_GE(batch.size(), 1u);
             EXPECT_LE(batch.size(), 4u);
             for (auto &m : batch) {
@@ -245,9 +291,10 @@ TEST(GpuBatching, RecvBatchFidelityAcrossWrapAndFlowControl)
     EXPECT_EQ(got, msgs);
     for (std::size_t i = 0; i < gotTags.size(); ++i)
         EXPECT_EQ(gotTags[i], i);
-    std::uint64_t recvs = gio.stats().counterValue("batch.recvs");
+    const sim::Histogram &sizes = gio.stats().histogram("batch.recv_size");
+    std::uint64_t recvs = sizes.count();
     EXPECT_GT(recvs, 0u);
-    EXPECT_EQ(gio.stats().counterValue("batch.recv_msgs"), msgs.size());
+    EXPECT_EQ(sizes.sum(), static_cast<double>(msgs.size()));
     EXPECT_LT(recvs, msgs.size()); // real multi-message sweeps
 }
 
@@ -285,11 +332,10 @@ TEST(GpuBatching, SendBatchFidelityAcrossWrapAndFlowControl)
     std::vector<core::TxMessage> popped;
     auto snicDrain = [&]() -> sim::Task {
         while (popped.size() < msgs.size()) {
-            auto batch = co_await mq.pollTxBatch(r.core, 8);
-            for (auto &m : batch)
-                popped.push_back(std::move(m));
+            std::size_t before = popped.size();
+            co_await mq.pollTxBatch(r.core, 8, popped);
             co_await mq.commitTxCons(r.core);
-            if (batch.empty())
+            if (popped.size() == before)
                 co_await sim::sleep(2_us);
         }
     };
@@ -302,8 +348,9 @@ TEST(GpuBatching, SendBatchFidelityAcrossWrapAndFlowControl)
         EXPECT_EQ(popped[i].payload, msgs[i]) << "message " << i;
         EXPECT_EQ(popped[i].tag, i);
     }
-    EXPECT_GT(gio.stats().counterValue("batch.sends"), 0u);
-    EXPECT_EQ(gio.stats().counterValue("batch.send_msgs"), msgs.size());
+    const sim::Histogram &sizes = gio.stats().histogram("batch.send_size");
+    EXPECT_GT(sizes.count(), 0u);
+    EXPECT_EQ(sizes.sum(), static_cast<double>(msgs.size()));
 }
 
 /** tryRecvBatch never parks: empty ring means an empty result after
@@ -320,7 +367,8 @@ TEST(GpuBatching, TryRecvBatchIsNonBlocking)
         4, std::vector<std::uint8_t>(32, 0xab));
     auto run = [&]() -> sim::Task {
         // Nothing ready: returns empty, does not park.
-        std::vector<GioMessage> none = co_await gio.tryRecvBatch(4);
+        std::vector<GioMessage> none;
+        co_await gio.tryRecvBatch(4, none);
         EXPECT_TRUE(none.empty());
         std::vector<SnicMqueue::RxItem> items;
         for (std::size_t j = 0; j < msgs.size(); ++j)
@@ -329,10 +377,12 @@ TEST(GpuBatching, TryRecvBatchIsNonBlocking)
         co_await mq.rxPushBatch(r.core, items);
         co_await sim::sleep(20_us);
         // 4 ready, capped at 2; the surplus stays staged...
-        std::vector<GioMessage> first = co_await gio.tryRecvBatch(2);
+        std::vector<GioMessage> first;
+        co_await gio.tryRecvBatch(2, first);
         EXPECT_EQ(first.size(), 2u);
         // ...and is handed out by the next call.
-        std::vector<GioMessage> rest = co_await gio.tryRecvBatch(4);
+        std::vector<GioMessage> rest;
+        co_await gio.tryRecvBatch(4, rest);
         EXPECT_EQ(rest.size(), 2u);
         EXPECT_EQ(first[0].tag, 0u);
         EXPECT_EQ(rest[1].tag, 3u);
@@ -366,15 +416,14 @@ TEST(GpuBatching, VectorScaleCarriesNonMultipleOf4TailUnchanged)
     auto run = [&]() -> sim::Task {
         while (!co_await mq.rxPush(r.core, payload, 1))
             co_await sim::sleep(2_us);
-        while (reply.empty()) {
-            auto popped = co_await mq.pollTx(r.core);
-            if (popped) {
-                reply = std::move(popped->payload);
-                co_await mq.commitTxCons(r.core);
-            } else {
+        std::vector<core::TxMessage> popped;
+        while (popped.empty()) {
+            co_await mq.pollTxBatch(r.core, 1, popped);
+            if (popped.empty())
                 co_await sim::sleep(2_us);
-            }
         }
+        reply = std::move(popped[0].payload);
+        co_await mq.commitTxCons(r.core);
     };
     sim::spawn(s, run());
     s.runUntil(10_ms);
@@ -545,9 +594,10 @@ TEST(GpuBatching, BatchedLenetServiceAnswersByteForByte)
     EXPECT_EQ(done, kClients * kPerClient);
     // Real batches formed: more messages than sweeps, and the GPU saw
     // multi-item launches.
-    std::uint64_t recvs = queues[0]->stats().counterValue("batch.recvs");
-    std::uint64_t msgs =
-        queues[0]->stats().counterValue("batch.recv_msgs");
+    const sim::Histogram &sizes =
+        queues[0]->stats().histogram("batch.recv_size");
+    std::uint64_t recvs = sizes.count();
+    auto msgs = static_cast<std::uint64_t>(sizes.sum());
     EXPECT_GT(recvs, 0u);
     EXPECT_GT(msgs, recvs);
     EXPECT_GT(gpu.stats().counterValue("batched_items"),
@@ -583,11 +633,10 @@ TEST(GpuBatching, MalformedRequestInsideBatchAnsweredIndividually)
         items.push_back({good1, 12, 0});
         co_await mq.rxPushBatch(r.core, items);
         while (replies.size() < 3) {
-            auto batch = co_await mq.pollTxBatch(r.core, 8);
-            for (auto &m : batch)
-                replies.push_back(std::move(m));
+            std::size_t before = replies.size();
+            co_await mq.pollTxBatch(r.core, 8, replies);
             co_await mq.commitTxCons(r.core);
-            if (batch.empty())
+            if (replies.size() == before)
                 co_await sim::sleep(5_us);
         }
     };
@@ -691,7 +740,7 @@ runFaceVer(apps::ServiceBatchConfig batch, std::uint64_t *batchRecvs)
 
     if (batchRecvs)
         *batchRecvs =
-            serverQs[0]->stats().counterValue("batch.recvs");
+            serverQs[0]->stats().histogram("batch.recv_size").count();
     return answers;
 }
 
@@ -718,4 +767,120 @@ TEST(GpuBatching, BatchedFaceVerMatchesUnbatchedByteForByte)
     EXPECT_GT(count(apps::FaceVerResult::Match), 0);
     EXPECT_GT(count(apps::FaceVerResult::NoMatch), 0);
     EXPECT_GT(count(apps::FaceVerResult::UnknownLabel), 0);
+}
+
+/*
+ * ----- Face verification golden -----
+ */
+
+namespace {
+
+/** Label the golden backend never answers (a lost memcached GET). */
+const std::string kBlackHoleLabel = "black-hole!!";
+
+/**
+ * Six sequential face-verification requests through the default
+ * Lynx-on-Bluefield runtime and the default (unbatched) worker: a
+ * match, an impostor, a malformed request, an unknown label, a GET
+ * the backend never answers (the client mqueue's 50 ms timeout
+ * surfaces as a BackendError reply) and a match after the timeout.
+ * The backend is a memcached stand-in that drops every GET for
+ * kBlackHoleLabel. Returns completion timestamps and answer bytes.
+ */
+void
+runSerialFaceVer(std::vector<sim::Tick> &stamps,
+                 std::vector<std::uint8_t> &answers)
+{
+    sim::Simulator s;
+    net::Network network(s);
+    snic::Bluefield bf(s, network, "bf0");
+    net::Nic &clientNic = network.addNic("client");
+    host::Node dbHost(s, network, "db-host");
+    pcie::Fabric fabric(s, "pcie");
+    accel::Gpu gpu(s, "gpu", fabric);
+
+    apps::KvStore db;
+    for (std::uint32_t person = 0; person < 4; ++person)
+        db.set(workload::faceLabel(person),
+               workload::synthFace(person, 0));
+    net::Endpoint &dbEp = dbHost.nic().bind(net::Protocol::Tcp, 11211);
+    auto backend = [&]() -> sim::Task {
+        for (;;) {
+            net::Message m = co_await dbEp.recv();
+            auto req = apps::kvDecodeRequest(m.payload);
+            if (!req || req->key == kBlackHoleLabel)
+                continue;
+            co_await sim::sleep(calibration::memcachedOpCostXeon);
+            net::Message resp;
+            resp.src = {dbHost.id(), 11211};
+            resp.dst = m.src;
+            resp.proto = net::Protocol::Tcp;
+            resp.payload = apps::kvApply(db, *req);
+            co_await dbHost.nic().send(std::move(resp));
+        }
+    };
+    sim::spawn(s, backend());
+
+    core::Runtime rt(s, bf.lynxRuntimeConfig());
+    auto &accel = rt.addAccelerator("gpu", gpu.memory(),
+                                    rdma::RdmaPathModel{});
+    core::ServiceConfig scfg;
+    scfg.name = "facever";
+    scfg.port = 7100;
+    auto &svc = rt.addService(scfg);
+    auto serverQs = rt.makeAccelQueues(svc, accel);
+    auto dbRef = rt.addClientQueue(accel, "db.cq", {dbHost.id(), 11211},
+                                   net::Protocol::Tcp);
+    auto dbQ = rt.makeAccelQueue(dbRef);
+    sim::spawn(s, apps::runFaceVerWorker(gpu, *serverQs[0], *dbQ));
+    rt.start();
+
+    net::Endpoint &ep = clientNic.bind(net::Protocol::Udp, 42000);
+    auto request = [](const std::string &label, std::uint32_t person) {
+        std::vector<std::uint8_t> p(label.begin(), label.end());
+        auto img = workload::synthFace(person, 1);
+        p.insert(p.end(), img.begin(), img.end());
+        return p;
+    };
+    std::vector<std::vector<std::uint8_t>> requests{
+        request(workload::faceLabel(0), 0), // match
+        request(workload::faceLabel(1), 3), // impostor
+        std::vector<std::uint8_t>(100, 7),  // malformed
+        request("nobody-here!", 2),         // unknown label
+        request(kBlackHoleLabel, 1),        // backend timeout
+        request(workload::faceLabel(2), 2), // match after it
+    };
+    auto clientTask = [&]() -> sim::Task {
+        for (const auto &payload : requests) {
+            net::Message m;
+            m.src = {clientNic.node(), 42000};
+            m.dst = {bf.node(), 7100};
+            m.proto = net::Protocol::Udp;
+            m.payload = payload;
+            co_await clientNic.send(std::move(m));
+            net::Message r = co_await ep.recv();
+            EXPECT_EQ(r.payload.size(), 1u);
+            answers.push_back(r.payload.empty() ? 0xee : r.payload[0]);
+            stamps.push_back(s.now());
+        }
+    };
+    sim::spawn(s, clientTask());
+    s.runUntil(200_ms);
+}
+
+} // namespace
+
+/** Golden guard for the default face-verification worker: completion
+ *  timestamps of every outcome class, including the malformed reply
+ *  and the backend-timeout error reply, reproduce bit-exactly. */
+TEST(GpuBatching, DefaultsReproduceSeedFaceVerTimestampsExactly)
+{
+    std::vector<sim::Tick> stamps;
+    std::vector<std::uint8_t> answers;
+    runSerialFaceVer(stamps, answers);
+    const std::vector<sim::Tick> seedStamps{209739,   419478,   437213,
+                                            630763,   50670739, 50880478};
+    const std::vector<std::uint8_t> seedAnswers{1, 0, 3, 2, 4, 1};
+    EXPECT_EQ(stamps, seedStamps);
+    EXPECT_EQ(answers, seedAnswers);
 }

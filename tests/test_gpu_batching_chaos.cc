@@ -171,8 +171,8 @@ runBatchedChaos(FaultKind kind, std::uint64_t seed)
     out.injected = ps.counterValue("drops") + ps.counterValue("delays") +
                    ps.counterValue("partition_drops");
     for (auto *q : {qsL[0].get(), qsR[0].get()}) {
-        out.batchRecvs += q->stats().counterValue("batch.recvs");
-        out.batchSends += q->stats().counterValue("batch.sends");
+        out.batchRecvs += q->stats().histogram("batch.recv_size").count();
+        out.batchSends += q->stats().histogram("batch.send_size").count();
     }
     return out;
 }

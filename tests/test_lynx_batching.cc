@@ -28,6 +28,7 @@
 #include "sim/processor.hh"
 #include "sim/random.hh"
 #include "sim/simulator.hh"
+#include "sim/span.hh"
 #include "sim/task.hh"
 #include "snic/bluefield.hh"
 
@@ -214,7 +215,7 @@ TEST(Batching, MaxBatchOneMatchesSequentialPushTiming)
 }
 
 /** pollTxBatch must return every ready slot, in order and intact,
- *  for ONE fetch op — where per-slot pollTx would have paid one per
+ *  for ONE fetch op — where one-slot fetches would have paid one per
  *  message. */
 TEST(Batching, PollTxBatchDrainsReadySlotsInOneFetch)
 {
@@ -236,9 +237,7 @@ TEST(Batching, PollTxBatchDrainsReadySlotsInOneFetch)
     std::vector<core::TxMessage> popped;
     auto snicDrain = [&]() -> sim::Task {
         co_await sim::sleep(50_us); // let every doorbell land first
-        auto batch = co_await mq.pollTxBatch(r.core, 8);
-        for (auto &m : batch)
-            popped.push_back(std::move(m));
+        co_await mq.pollTxBatch(r.core, 8, popped);
         co_await mq.commitTxCons(r.core);
     };
     sim::spawn(r.s, accelSend());
@@ -381,4 +380,88 @@ TEST(Batching, BatchedRuntimeEchoesConcurrentClientsFaithfully)
     }
     EXPECT_GT(coalesced, 0u);
     EXPECT_LT(fetched, popped); // pipelined drains actually batched
+}
+
+/** An echo loop over recv()/send() directly, as the ported
+ *  accelerator codes (VCA, Innova) use them. */
+sim::Task
+recvSendEcho(AccelQueue &q)
+{
+    for (;;) {
+        core::GioMessage m = co_await q.recv();
+        co_await q.send(m.tag, m.payload);
+    }
+}
+
+/**
+ * With rxBurst on, every message a one-message receive hands to the
+ * application is stamped AppStart, the first of each sweep as well as
+ * the staged rest: the app_start stage holds one sample per finished
+ * span, so no request's accelerator wait is folded into app_end.
+ * Checked through the echo service (recvBatch(1)) and through a bare
+ * recv()/send() loop.
+ */
+TEST(Batching, RxBurstStampsAppStartOnEveryMessage)
+{
+    for (bool bareRecv : {false, true}) {
+        sim::Simulator s;
+        net::Network nw(s);
+        snic::Bluefield bf(s, nw, "bf0");
+        auto &clientNic = nw.addNic("client");
+        pcie::Fabric fabric(s, "pcie");
+        accel::Gpu gpu(s, "k40m", fabric);
+        sim::SpanCollector spans(s);
+
+        core::RuntimeConfig cfg = bf.lynxRuntimeConfig();
+        cfg.mq.maxBatch = 8;
+        cfg.dispatchFlushLinger = 30_us;
+        cfg.gio.rxBurst = true;
+        core::Runtime rt(s, cfg);
+        auto &accel = rt.addAccelerator("k40m", gpu.memory(),
+                                        rdma::RdmaPathModel{});
+        core::ServiceConfig scfg;
+        scfg.name = "echo";
+        scfg.port = 7000;
+        scfg.queuesPerAccel = 1;
+        auto &svc = rt.addService(scfg);
+        auto queues = rt.makeAccelQueues(svc, accel);
+        if (bareRecv)
+            sim::spawn(s, recvSendEcho(*queues[0]));
+        else
+            sim::spawn(s, apps::runEchoBlock(gpu, *queues[0], 2_us));
+        rt.start();
+
+        constexpr int kClients = 8;
+        constexpr int kPerClient = 10;
+        auto clientTask = [&](int c) -> sim::Task {
+            std::uint16_t port = static_cast<std::uint16_t>(40000 + c);
+            net::Endpoint &ep = clientNic.bind(net::Protocol::Udp, port);
+            for (int i = 0; i < kPerClient; ++i) {
+                net::Message m;
+                m.src = {clientNic.node(), port};
+                m.dst = {bf.node(), 7000};
+                m.proto = net::Protocol::Udp;
+                m.payload.assign(64, static_cast<std::uint8_t>(c + i));
+                m.traceId = spans.begin(s.now());
+                co_await clientNic.send(std::move(m));
+                net::Message r = co_await ep.recv();
+                spans.finish(r.traceId, s.now());
+            }
+        };
+        for (int c = 0; c < kClients; ++c)
+            sim::spawn(s, clientTask(c));
+        s.runUntil(500_ms);
+
+        ASSERT_EQ(spans.finished(),
+                  static_cast<std::uint64_t>(kClients * kPerClient))
+            << "bareRecv " << bareRecv;
+        EXPECT_EQ(spans.stageHistogram(sim::Stage::AppStart).count(),
+                  spans.finished())
+            << "bareRecv " << bareRecv;
+        // Real multi-message sweeps happened, so both the first
+        // message of a sweep and staged ones were delivered.
+        sim::StatSet &gs = queues[0]->stats();
+        EXPECT_GT(gs.counterValue("rx_msgs"), gs.counterValue("rx_bursts"))
+            << "bareRecv " << bareRecv;
+    }
 }

@@ -133,6 +133,53 @@ TEST(SnicAccelQueue, RxPushReachesAccelRecv)
     EXPECT_EQ(got.err, 0u);
 }
 
+/**
+ * A repaired-gap skip slot ahead of a real message: a one-message
+ * receive consumes the marker with one poll and one consumer-register
+ * write, and no copy step (a zero-length sleep would still cost an
+ * event), then receives the message. Time and event count are the
+ * unbatched seed's, for recv() and recvBatch(1) alike.
+ */
+TEST(SnicAccelQueue, SkipSlotCostsNoCopyStep)
+{
+    for (bool viaBatch : {false, true}) {
+        Rig r;
+        AccelQueue accelQ(r.s, "gio0", r.mem, r.layout);
+        auto put = [&](std::uint64_t slot, std::span<const std::uint8_t> p,
+                       std::uint32_t err) {
+            SlotMeta meta{static_cast<std::uint32_t>(p.size()), 7, err,
+                          static_cast<std::uint32_t>(slot + 1)};
+            std::uint64_t end = r.layout.rxSlotEnd(slot);
+            r.mem.write(core::slotWriteOffset(end, meta.len),
+                        core::encodeSlotWrite(p, meta));
+        };
+        put(0, {}, core::kSlotSkipErr);
+        auto payload = bytes({1, 2, 3, 4, 5, 6, 7, 8});
+        put(1, payload, 0);
+
+        core::GioMessage got;
+        sim::Tick at = 0;
+        auto accelTask = [&]() -> sim::Task {
+            if (viaBatch) {
+                std::vector<core::GioMessage> out;
+                co_await accelQ.recvBatch(1, out);
+                got = std::move(out.at(0));
+            } else {
+                got = co_await accelQ.recv();
+            }
+            at = r.s.now();
+        };
+        sim::spawn(r.s, accelTask());
+        r.s.run();
+        EXPECT_EQ(got.payload, payload) << "viaBatch " << viaBatch;
+        EXPECT_EQ(accelQ.stats().counterValue("rx_skipped"), 1u);
+        // Two polls and two register writes of 200 ns, plus the
+        // 8-byte copy (1 tick); five events, none of them zero-length.
+        EXPECT_EQ(at, 801u) << "viaBatch " << viaBatch;
+        EXPECT_EQ(r.s.eventsExecuted(), 5u) << "viaBatch " << viaBatch;
+    }
+}
+
 TEST(SnicAccelQueue, AccelSendReachesForwarderPoll)
 {
     Rig r;
@@ -142,7 +189,7 @@ TEST(SnicAccelQueue, AccelSendReachesForwarderPoll)
     bool woke = false;
     snicQ.setTxActivityHandler([&] { woke = true; });
 
-    std::optional<core::TxMessage> got;
+    std::vector<core::TxMessage> got;
     auto accelTask = [&]() -> sim::Task {
         auto p = bytes({1, 1, 2, 3, 5});
         co_await accelQ.send(9, p);
@@ -152,29 +199,29 @@ TEST(SnicAccelQueue, AccelSendReachesForwarderPoll)
     EXPECT_TRUE(woke);
 
     auto snicTask = [&]() -> sim::Task {
-        got = co_await snicQ.pollTx(r.core);
+        co_await snicQ.pollTxBatch(r.core, 1, got);
     };
     sim::spawn(r.s, snicTask());
     r.s.run();
-    ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(got->payload, bytes({1, 1, 2, 3, 5}));
-    EXPECT_EQ(got->tag, 9u);
+    ASSERT_EQ(got.size(), 1u);
+    EXPECT_EQ(got[0].payload, bytes({1, 1, 2, 3, 5}));
+    EXPECT_EQ(got[0].tag, 9u);
 }
 
 TEST(SnicAccelQueue, PollOnEmptyTxReturnsNothing)
 {
     Rig r;
     SnicMqueue snicQ(r.s, "mq0", r.qp, r.layout, MqueueKind::Server);
-    std::optional<core::TxMessage> got;
+    std::vector<core::TxMessage> got;
     bool polled = false;
     auto snicTask = [&]() -> sim::Task {
-        got = co_await snicQ.pollTx(r.core);
+        co_await snicQ.pollTxBatch(r.core, 1, got);
         polled = true;
     };
     sim::spawn(r.s, snicTask());
     r.s.run();
     EXPECT_TRUE(polled);
-    EXPECT_FALSE(got.has_value());
+    EXPECT_TRUE(got.empty());
 }
 
 TEST(SnicAccelQueue, ManyMessagesWrapTheRingInOrder)
@@ -257,8 +304,9 @@ TEST(SnicAccelQueue, TxBackpressureBlocksAccelUntilCommit)
 
     // SNIC drains two and returns credit; the accel finishes.
     auto snicTask = [&]() -> sim::Task {
-        (void)co_await snicQ.pollTx(r.core);
-        (void)co_await snicQ.pollTx(r.core);
+        std::vector<core::TxMessage> popped;
+        co_await snicQ.pollTxBatch(r.core, 1, popped);
+        co_await snicQ.pollTxBatch(r.core, 1, popped);
         co_await snicQ.commitTxCons(r.core);
     };
     sim::spawn(r.s, snicTask());

@@ -144,13 +144,16 @@ TEST_P(MqueueTorture, DuplexRandomTrafficOverOneQp)
     auto drainer = [&](int qi) -> sim::Task {
         auto &q = queues[static_cast<std::size_t>(qi)];
         std::uint32_t expect = 0;
+        std::vector<core::TxMessage> popped;
         while (expect < perQueue) {
-            auto txm = co_await q.snic->pollTx(
-                cores[static_cast<std::size_t>(qi) % 3]);
-            if (!txm) {
+            popped.clear();
+            co_await q.snic->pollTxBatch(
+                cores[static_cast<std::size_t>(qi) % 3], 1, popped);
+            if (popped.empty()) {
                 co_await sim::sleep(5_us);
                 continue;
             }
+            const core::TxMessage *txm = &popped[0];
             Stamp st = readStamp(txm->payload);
             EXPECT_EQ(st.queue, static_cast<std::uint32_t>(qi));
             EXPECT_EQ(st.n, expect); // per-queue FIFO end to end

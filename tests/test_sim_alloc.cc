@@ -24,12 +24,16 @@
 #include <new>
 #include <vector>
 
+#include "lynx/gio.hh"
+#include "lynx/snic_mqueue.hh"
 #include "lynx/tenant.hh"
 #include "net/message.hh"
 #include "net/network.hh"
 #include "net/nic.hh"
 #include "net/payload.hh"
 #include "pcie/memory.hh"
+#include "rdma/qp.hh"
+#include "sim/processor.hh"
 #include "sim/event.hh"
 #include "sim/pool.hh"
 #include "sim/simulator.hh"
@@ -254,6 +258,102 @@ TEST(AllocFreeHotPath, SteadyStateTimedEchoAndDoorbellDoNotAllocate)
         << "steady-state recvTimeout + doorbell path allocated "
         << (probe.allocsAtWindowEnd - probe.allocsAtWindowStart)
         << " times over " << kMeasuredRounds << " round trips";
+#endif
+}
+
+/** SNIC side of the ring round trip: push one request, poll the TX
+ *  ring one slot at a time (the forwarder at maxBatch 1) until the
+ *  answer is back, return its credit. */
+sim::Task
+ringClient(core::SnicMqueue &mq, sim::Core &core, EchoProbe &probe,
+           const std::vector<std::uint8_t> &request)
+{
+    std::vector<core::TxMessage> popped;
+    for (int i = 0; i < kWarmupRounds + kMeasuredRounds; ++i) {
+        if (i == kWarmupRounds)
+            probe.allocsAtWindowStart = g_allocCount;
+        while (!co_await mq.rxPush(core, request,
+                                   static_cast<std::uint32_t>(i)))
+            co_await sim::sleep(1_us);
+        popped.clear();
+        while (popped.empty()) {
+            co_await mq.pollTxBatch(core, 1, popped);
+            if (popped.empty())
+                co_await sim::sleep(1_us);
+        }
+        co_await mq.commitTxCons(core);
+        if (popped[0].payload.size() == request.size())
+            ++probe.completed;
+    }
+    probe.allocsAtWindowEnd = g_allocCount;
+}
+
+/** The unbatched accelerator echo loop: recv() then send(). */
+sim::Task
+gioEchoOneByOne(core::AccelQueue &q)
+{
+    for (;;) {
+        core::GioMessage m = co_await q.recv();
+        co_await q.send(m.tag, m.payload);
+    }
+}
+
+/** The services' serve loop at maxBatch 1: recvBatch(1) then a
+ *  one-item sendBatch, both into reused vectors. */
+sim::Task
+gioEchoBatchesOfOne(core::AccelQueue &q)
+{
+    std::vector<core::GioMessage> msgs;
+    std::vector<core::GioTxItem> items;
+    for (;;) {
+        msgs.clear();
+        co_await q.recvBatch(1, msgs);
+        items.clear();
+        for (const core::GioMessage &m : msgs)
+            items.push_back({m.tag, m.payload, 0});
+        co_await q.sendBatch(items);
+    }
+}
+
+/**
+ * Unbatched traffic runs through the batched ring paths as batches of
+ * one, and those paths must add no heap allocation per message. A
+ * round trip allocates the five buffers that carry its bytes: the
+ * encoded RX push, the accelerator's copy of the request payload,
+ * the encoded TX slot write, the SNIC's copy of the response payload
+ * and the txCons register write. Engine-side growth adds well under
+ * one more per trip; one batch vector or record list per call would
+ * push the total past six.
+ */
+TEST(AllocFreeHotPath, UnbatchedRingRoundTripAllocatesOnlyItsBuffers)
+{
+#if defined(LYNX_POOL_PASSTHROUGH)
+    GTEST_SKIP() << "pool passthrough lane";
+#else
+    for (bool batchesOfOne : {false, true}) {
+        sim::Simulator s;
+        pcie::DeviceMemory mem("accel.mem", 1 << 20);
+        rdma::QueuePair qp(s, "qp", mem, rdma::RdmaPathModel{});
+        sim::Core core(s, "snic.0");
+        core::MqueueLayout layout{0, 16, 256};
+        core::SnicMqueue mq(s, "mq", qp, layout, core::MqueueKind::Server);
+        core::AccelQueue gio(s, "gio", mem, layout);
+
+        EchoProbe probe;
+        const std::vector<std::uint8_t> request(64, 0x42);
+        sim::spawn(s, batchesOfOne ? gioEchoBatchesOfOne(gio)
+                                   : gioEchoOneByOne(gio));
+        sim::spawn(s, ringClient(mq, core, probe, request));
+        s.run();
+
+        EXPECT_EQ(probe.completed, kWarmupRounds + kMeasuredRounds);
+        EXPECT_LE(probe.allocsAtWindowEnd - probe.allocsAtWindowStart,
+                  6u * kMeasuredRounds)
+            << (batchesOfOne ? "recvBatch(1)/sendBatch" : "recv/send")
+            << " round trips allocated "
+            << (probe.allocsAtWindowEnd - probe.allocsAtWindowStart)
+            << " times over " << kMeasuredRounds;
+    }
 #endif
 }
 

@@ -83,6 +83,27 @@ TEST(Histogram, MergeCombinesSamples)
     EXPECT_NEAR(static_cast<double>(a.percentile(99)), 1000.0, 40.0);
 }
 
+/** Buckets grow to the largest sample, so histograms of different
+ *  ranges merge either way round, up to the top of the 64-bit range. */
+TEST(Histogram, MergeIsSymmetricAcrossRanges)
+{
+    const std::uint64_t top = ~0ull;
+    Histogram small, large;
+    small.record(3, 10);
+    large.record(top, 5);
+    large.record(70'000, 5);
+    Histogram ab = small, ba = large;
+    ab.merge(large);
+    ba.merge(small);
+    for (double p : {0.0, 10.0, 50.0, 75.0, 99.0, 100.0})
+        EXPECT_EQ(ab.percentile(p), ba.percentile(p)) << "p" << p;
+    EXPECT_EQ(ab.count(), 20u);
+    EXPECT_EQ(ab.min(), 3u);
+    EXPECT_EQ(ab.max(), top);
+    EXPECT_EQ(ab.percentile(50), 3u);
+    EXPECT_EQ(ab.percentile(100), top);
+}
+
 TEST(Histogram, ResetClearsState)
 {
     Histogram h;
