@@ -241,7 +241,8 @@ struct EchoOptions
     /** Forwarder-side TX fetch batch (1 = per-slot fetches). */
     int forwardMaxBatch = 1;
 
-    /** Idle-scaled forwarder poll backoff. */
+    /** Idle-scaled forwarder discovery: lower the band's floor to
+     *  calibration::snicPollBackoffMin. */
     bool adaptivePoll = false;
 
     /** Accelerator-side multi-slot doorbell consumption. */
@@ -306,7 +307,8 @@ class EchoWorld
         cfg.mq = opts_.mq;
         cfg.dispatchFlushLinger = opts_.dispatchFlushLinger;
         cfg.forwarder.maxBatch = opts_.forwardMaxBatch;
-        cfg.forwarder.adaptivePoll = opts_.adaptivePoll;
+        if (opts_.adaptivePoll)
+            cfg.forwarder.pollBackoffMin = calibration::snicPollBackoffMin;
         cfg.gio.rxBurst = opts_.gioBurst;
         runtime_ = std::make_unique<core::Runtime>(s_, cfg);
         auto &accel = runtime_->addAccelerator("k40m", gpu_->memory(),

@@ -141,7 +141,6 @@ measure(Mode mode, int aggressors, double offeredRps,
     accel::Gpu gpu(s, "gpu0", fabric);
 
     core::RuntimeConfig cfg = bf.lynxRuntimeConfig();
-    cfg.congestion = ncfg.congestion; // PFC knobs for the mqueues
     core::Runtime rt(s, cfg);
     auto &accel = rt.addAccelerator("gpu0", gpu.memory(), {});
 

@@ -35,11 +35,11 @@ main()
            "coalesced single write is the fast path; the 3-op barrier "
            "sequence adds ~5 us per message");
 
-    core::SnicMqueueConfig coalesced;       // the Lynx default
+    core::SnicMqueueConfig coalesced;         // the Lynx default
     core::SnicMqueueConfig split;
-    split.coalesceMetadata = false;         // data + metadata writes
+    split.rxWrite = core::RxWrite::Split;     // data + metadata writes
     core::SnicMqueueConfig barrier;
-    barrier.writeBarrier = true;            // §5.1 workaround
+    barrier.rxWrite = core::RxWrite::Barrier; // §5.1 workaround
 
     RunResult rCoal = measure(coalesced);
     RunResult rSplit = measure(split);

@@ -186,10 +186,12 @@ constexpr int snicTxMaxBatch = 16;
  *  of a backlogged 16-slot ring of small messages. */
 constexpr Tick snicDispatchFlushLinger = microseconds(30);
 
-/** Adaptive poll backoff bounds: a just-idle queue is re-polled
- *  after the min, a long-idle one after the max (the max matches
- *  snicPollDiscovery, so the idle-state cost never exceeds the
- *  fixed-poll model it replaces). */
+/** Adaptive discovery band (ForwarderConfig::pollBackoffMin/Max):
+ *  a just-idle queue is re-polled after the min, a long-idle one
+ *  after the max. The max matches snicPollDiscovery, so the
+ *  idle-state cost never exceeds the fixed band {snicPollDiscovery,
+ *  snicPollDiscovery} the platform configs use; batching configs
+ *  lower the floor to the min. */
 constexpr Tick snicPollBackoffMin = nanoseconds(100);
 constexpr Tick snicPollBackoffMax = nanoseconds(1000);
 

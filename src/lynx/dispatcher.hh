@@ -68,9 +68,8 @@ struct AdmissionConfig
 
     /** Shed an arrival when in-flight ring tags across the service's
      *  usable mqueues have reached this fraction of their total tag
-     *  capacity. Sheds are counted (`admission.<svc>.shed_ring_full`
-     *  plus `tenant.table.untenanted_rejected` when a TenantTable
-     *  exists) — never silent. */
+     *  capacity. Sheds are counted
+     *  (`admission.<svc>.shed_ring_full`) — never silent. */
     double shedOccupancy = 0.9;
 };
 
@@ -79,12 +78,6 @@ struct DispatcherConfig
 {
     /** CPU charged per dispatched message. */
     sim::Tick dispatchCpu = 0;
-
-    /** Keep a copy of each request payload in its ClientRef while
-     *  the request is in flight, so failover can re-queue the work
-     *  of a dead mqueue to a surviving one. Off (default) = no copy,
-     *  the seed's zero-retention behaviour. */
-    bool retainPayloads = false;
 
     /** Tenant table (lynx/tenant.hh). Non-null virtualizes the
      *  dispatch path for messages with a tenant id: SLA admission,
@@ -237,7 +230,7 @@ class Dispatcher
                 drop(DropReason::RingFull, &client);
             co_return;
         }
-        auto tag = mq.allocTag(client);
+        auto tag = mq.allocTag(client, msg.payload);
         if (!tag) {
             drop(DropReason::NoTag, &client);
             co_return;
@@ -296,7 +289,7 @@ class Dispatcher
         std::size_t moved = 0;
 
         // Staged but never pushed: their payloads are at hand
-        // regardless of the retention knob.
+        // whether or not the queue retains copies.
         std::vector<Staged> batch = std::move(staged_[qi]);
         staged_[qi].clear();
         stagedCount_ -= batch.size();
@@ -309,12 +302,13 @@ class Dispatcher
 
         // Pushed and unanswered (or still being pushed: a push that
         // later fails finds its tag gone and leaves the request to
-        // this drain). Only re-queueable with retention.
+        // this drain). Only re-queueable where the queue retained
+        // the payload (it has a retry policy).
         for (std::uint32_t tag : mq.allocatedTags()) {
             auto c = mq.tryReleaseTag(tag);
             if (!c)
                 continue;
-            if (c->payload.empty() && !cfg_.retainPayloads) {
+            if (c->payload.empty() && !mq.hasRetryPolicy()) {
                 drop(DropReason::Transport, &*c);
                 continue;
             }
@@ -435,24 +429,20 @@ class Dispatcher
     };
 
     /** Count one dropped request under @p why, and keep the
-     *  TenantTable's ledgers: a shed is an untenanted reject, and an
-     *  admitted tenant request (@p client with a tenant) is abandoned,
-     *  returning its in-flight slot exactly once. */
+     *  TenantTable's ledger: an admitted tenant request (@p client
+     *  with a tenant) is abandoned, returning its in-flight slot
+     *  exactly once. */
     void
     drop(DropReason why, const ClientRef *client = nullptr)
     {
         cDropped_[static_cast<std::size_t>(why)]->add();
-        if (!cfg_.tenants)
-            return;
-        if (why == DropReason::Shed)
-            cfg_.tenants->rejectedUntenanted();
-        else if (client && client->tenant != 0)
+        if (cfg_.tenants && client && client->tenant != 0)
             cfg_.tenants->abandoned(client->tenant);
     }
 
-    /** The ClientRef of an ingress message: who to answer, the flow
-     *  tuple failover re-routes by, and (with retention) the payload
-     *  failover re-queues. */
+    /** The ClientRef of an ingress message: who to answer and the
+     *  flow tuple failover re-routes by. The payload copy failover
+     *  re-queues is taken by the mqueue at allocTag(). */
     ClientRef
     clientOf(const net::Message &msg) const
     {
@@ -468,8 +458,6 @@ class Dispatcher
         c.tenant = msg.tenant;
         if (cfg_.tenants && msg.tenant != 0)
             c.tenantGen = cfg_.tenants->generation(msg.tenant);
-        if (cfg_.retainPayloads)
-            c.payload = msg.payload.toVector();
         return c;
     }
 
@@ -484,7 +472,7 @@ class Dispatcher
           const ClientRef &client)
     {
         SnicMqueue &mq = *queues_[qi];
-        auto tag = mq.allocTag(client);
+        auto tag = mq.allocTag(client, payload);
         if (!tag)
             co_return Outcome::NoTag;
         if (co_await mq.rxPush(core, payload, *tag)) {

@@ -53,8 +53,10 @@ namespace lynx::core {
  *  lynx/calibration.hh. */
 struct FailoverConfig
 {
-    /** Master switch: spawn a HealthMonitor per service, retain
-     *  in-flight payloads, tolerate stale tags. */
+    /** Master switch: spawn a HealthMonitor per service and give
+     *  every mqueue the calibrated retry policy (unless one is
+     *  configured), which is what retains in-flight payloads and
+     *  tolerates stale tags. */
     bool enabled = false;
 
     /** Sweep period of the health check. */

@@ -52,9 +52,6 @@ struct ForwarderConfig
     /** CPU per forwarded message (ring bookkeeping, tag lookup). */
     sim::Tick forwardCpu = sim::nanoseconds(500);
 
-    /** Mean delay between a doorbell and the polling loop seeing it. */
-    sim::Tick pollDiscovery = sim::nanoseconds(1000);
-
     /** CPU per managed queue per polling sweep (round-robin scan). */
     sim::Tick scanPerQueue = sim::nanoseconds(15);
 
@@ -63,20 +60,14 @@ struct ForwarderConfig
      *  slot, the unbatched behaviour as a batch of one. */
     int maxBatch = 1;
 
-    /** Scale the discovery delay with observed idleness instead of
-     *  the fixed pollDiscovery: a queue that just went quiet is
-     *  re-polled after pollBackoffMin, a long-idle one after
-     *  pollBackoffMax (delay = clamp(idle/2, min, max)). */
-    bool adaptivePoll = false;
-    sim::Tick pollBackoffMin = sim::nanoseconds(100);
+    /** Discovery band: the delay between a doorbell and the polling
+     *  loop seeing it scales with observed idleness, clamp(idle/2,
+     *  pollBackoffMin, pollBackoffMax). A queue that just went quiet
+     *  is re-polled after the min, a long-idle one after the max.
+     *  Equal ends (the default) give a fixed delay, the mean of half
+     *  a poll round. @pre pollBackoffMin <= pollBackoffMax. */
+    sim::Tick pollBackoffMin = sim::nanoseconds(1000);
     sim::Tick pollBackoffMax = sim::nanoseconds(1000);
-
-    /** Drop (and count) responses whose tag no longer matches a
-     *  live allocation instead of treating them as a fatal protocol
-     *  violation. Required under failover: a revived accelerator may
-     *  answer requests whose tags were drained and re-queued. Off
-     *  (default) keeps the seed's strict assert. */
-    bool tolerateStaleTags = false;
 
     /** Tenant table (lynx/tenant.hh). Non-null adds the forward-path
      *  half of the virtualization: batched TX drains are re-ordered
@@ -86,6 +77,15 @@ struct ForwarderConfig
      *  of delivered stale. Null (default) = seed behaviour. */
     TenantTable *tenants = nullptr;
 };
+
+/** @return the doorbell-to-discovery delay of a forwarder that made
+ *  no progress for @p idle: clamp(idle/2, pollBackoffMin,
+ *  pollBackoffMax). */
+inline sim::Tick
+discoveryDelay(const ForwarderConfig &cfg, sim::Tick idle)
+{
+    return std::clamp(idle / 2, cfg.pollBackoffMin, cfg.pollBackoffMax);
+}
 
 /** Egress pump for one accelerator's mqueues. */
 class Forwarder
@@ -108,6 +108,10 @@ class Forwarder
           cStaleResponses_(&stats_.counter("stale_responses")),
           cTenantStale_(&stats_.counter("tenant_stale_drops"))
     {
+        // std::clamp needs lo <= hi.
+        LYNX_ASSERT(cfg_.pollBackoffMin <= cfg_.pollBackoffMax, name_,
+                    ": inverted discovery band ", cfg_.pollBackoffMin,
+                    " > ", cfg_.pollBackoffMax);
         queues_.reserve(8);
         sim_.metrics().add("lynx.fwd." + name_, stats_);
     }
@@ -209,7 +213,8 @@ class Forwarder
                 lastProgress = sim_.now();
             } else {
                 co_await activity_.wait();
-                co_await sim::sleep(discoveryDelay(lastProgress));
+                co_await sim::sleep(
+                    discoveryDelay(cfg_, sim_.now() - lastProgress));
             }
         }
     }
@@ -267,17 +272,6 @@ class Forwarder
         batch = std::move(reordered);
     }
 
-    /** Doorbell-to-discovery delay for the next poll round. */
-    sim::Tick
-    discoveryDelay(sim::Tick lastProgress) const
-    {
-        if (!cfg_.adaptivePoll)
-            return cfg_.pollDiscovery;
-        sim::Tick idle = sim_.now() - lastProgress;
-        return std::clamp(idle / 2, cfg_.pollBackoffMin,
-                          cfg_.pollBackoffMax);
-    }
-
     sim::Co<void>
     forwardOne(Entry &e, TxMessage txm)
     {
@@ -285,22 +279,20 @@ class Forwarder
         net::Message out;
         out.payload = std::move(txm.payload);
         if (e.mq->kind() == MqueueKind::Server) {
-            ClientRef client;
-            if (cfg_.tolerateStaleTags) {
-                auto c = e.mq->tryReleaseTag(txm.tag);
-                if (!c) {
-                    // A drained-and-re-queued request's original
-                    // answer, arriving after failover: the client
-                    // already gets (or got) the re-queued copy's
-                    // response, so this one is dropped — duplicates
-                    // and misdeliveries are both impossible.
-                    cStaleResponses_->add();
-                    co_return;
-                }
-                client = std::move(*c);
-            } else {
-                client = e.mq->releaseTag(txm.tag);
+            auto c = e.mq->tryReleaseTag(txm.tag);
+            if (!c) {
+                // Only failover (a queue with a retry policy) makes
+                // stale tags: a drained-and-re-queued request's
+                // original answer, arriving after revival. The client
+                // already gets (or got) the re-queued copy's
+                // response, so this one is dropped — duplicates and
+                // misdeliveries are both impossible.
+                LYNX_ASSERT(e.mq->hasRetryPolicy(), e.mq->name(),
+                            ": response with unknown tag ", txm.tag);
+                cStaleResponses_->add();
+                co_return;
             }
+            ClientRef &client = *c;
             if (cfg_.tenants && client.tenant != 0) {
                 if (!cfg_.tenants->finish(client.tenant,
                                           client.tenantGen,

@@ -14,27 +14,26 @@ Runtime::Runtime(sim::Simulator &sim, RuntimeConfig cfg)
 {
     LYNX_FATAL_IF(cfg_.cores.empty(), "Lynx runtime needs worker cores");
     LYNX_FATAL_IF(!cfg_.nic, "Lynx runtime needs a NIC");
-    if (cfg_.failover.enabled) {
-        // Failover implies the signalled-write/retry machinery (dead
-        // transports must be *detected*) and stale-tag tolerance (a
+    if (cfg_.failover.enabled && !cfg_.mq.retry.enabled()) {
+        // Failover needs the signalled-write/retry machinery: dead
+        // transports must be *detected*. The retry policy also makes
+        // every mqueue retain payloads and tolerate stale tags (a
         // revived accelerator may answer drained requests). Respect
         // an explicitly configured retry budget, otherwise install
         // the calibrated one.
-        if (!cfg_.mq.retry.enabled()) {
-            cfg_.mq.retry.maxRetries = calibration::rdmaSwRetryLimit;
-            cfg_.mq.retry.backoffBase = calibration::rdmaSwBackoffBase;
-            cfg_.mq.retry.backoffMax = calibration::rdmaSwBackoffMax;
-        }
-        cfg_.forwarder.tolerateStaleTags = true;
+        cfg_.mq.retry.maxRetries = calibration::rdmaSwRetryLimit;
+        cfg_.mq.retry.backoffBase = calibration::rdmaSwBackoffBase;
+        cfg_.mq.retry.backoffMax = calibration::rdmaSwBackoffMax;
     }
-    if (cfg_.congestion.enabled && cfg_.congestion.pfc.enabled &&
-        !cfg_.mq.pfc.enabled) {
-        // The congestion plane's PFC knobs propagate onto every
-        // mqueue: a full RX ring pauses its pusher (backpressure into
-        // the listeners/backend loops) instead of overflowing. An
-        // explicitly configured mq.pfc wins.
-        cfg_.mq.pfc = cfg_.congestion.pfc;
-    }
+    // Ring PFC comes from the congestion plane of the network the NIC
+    // is attached to: a full RX ring pauses its pusher (backpressure
+    // into the listeners/backend loops) instead of overflowing.
+    LYNX_ASSERT(!cfg_.mq.pfc.enabled,
+                "ring PFC is configured on the network, not on mq.pfc");
+    const net::CongestionConfig &cc =
+        cfg_.nic->network().congestionConfig();
+    if (cc.enabled && cc.pfc.enabled)
+        cfg_.mq.pfc = cc.pfc;
     if (cfg_.tenancy.enabled) {
         // One PF-side tenant table, shared by every dispatcher
         // (admission + WRR classes), mqueue (ring-tag accounting)
@@ -89,8 +88,8 @@ Runtime::addService(ServiceConfig scfg)
     net::Endpoint &ep = cfg_.nic->bind(scfg.proto, scfg.port);
     services_.push_back(std::make_unique<Service>(
         scfg, ep,
-        DispatcherConfig{cfg_.dispatchCpu, cfg_.failover.enabled,
-                         tenants_.get(), cfg_.rss, cfg_.admission}));
+        DispatcherConfig{cfg_.dispatchCpu, tenants_.get(), cfg_.rss,
+                         cfg_.admission}));
     Service &svc = *services_.back();
     // The Dispatcher itself carries no Simulator reference; its owner
     // registers the stats on its behalf (removed in ~Runtime).

@@ -197,7 +197,9 @@ struct RuntimeConfig
      *  Bluefield; 1 or 6 Xeon cores for the host variants). */
     std::vector<sim::Core *> cores;
 
-    /** The frontend NIC (the SNIC's own network identity). */
+    /** The frontend NIC (the SNIC's own network identity). Its
+     *  network's congestion plane is the Runtime's congestion
+     *  config. */
     net::Nic *nic = nullptr;
 
     /** Transport stack cost profile of this platform. */
@@ -224,7 +226,9 @@ struct RuntimeConfig
     /** Forwarding loop knobs. */
     ForwarderConfig forwarder;
 
-    /** mqueue write behaviour (coalescing / §5.1 barrier). */
+    /** mqueue write behaviour (coalescing / §5.1 barrier). Leave
+     *  `mq.pfc` unset: ring PFC comes from the congestion plane of
+     *  the network `nic` is attached to (see Runtime()). */
     SnicMqueueConfig mq;
 
     /** Accelerator-side gio timing used by makeAccelQueues(). */
@@ -234,19 +238,12 @@ struct RuntimeConfig
     int listenersPerService = 0;
 
     /** Fault-tolerance knobs. Enabling spawns a HealthMonitor per
-     *  service and switches on payload retention, stale-tag
-     *  tolerance and (unless already configured) the calibrated
-     *  software RDMA retry policy. Off (default) = seed behaviour,
-     *  bit-identical. */
+     *  service and (unless `mq.retry` is already configured) gives
+     *  every mqueue the calibrated software RDMA retry policy. The
+     *  retry policy is the one source of the rest of failover: a
+     *  queue with one retains in-flight payloads and drops stale-tag
+     *  responses. Off (default) = seed behaviour, bit-identical. */
     FailoverConfig failover;
-
-    /** Congestion plane (should match the Network's config; scenario
-     *  helpers copy one into both). The Runtime consumes the PFC
-     *  knobs: when `congestion.enabled && congestion.pfc.enabled` and
-     *  `mq.pfc` was not configured explicitly, the PFC config is
-     *  copied onto every mqueue so full RX rings pause their pushers
-     *  instead of overflowing. Off (default) = seed behaviour. */
-    net::CongestionConfig congestion;
 
     /** Multi-tenant virtualization of the dispatch plane
      *  (lynx/tenant.hh). Enabling builds a TenantTable, wires it

@@ -46,6 +46,9 @@ SnicMqueue::SnicMqueue(sim::Simulator &sim, std::string name,
     cPfcPauses_ = &stats_.counter("pfc_pauses");
     cPfcResumes_ = &stats_.counter("pfc_resumes");
     cPfcStormBreaks_ = &stats_.counter("pfc_storm_breaks");
+    cTagTableFull_ = &stats_.counter("tag_table_full");
+    cSlotsRepaired_ = &stats_.counter("slots_repaired");
+    cProbes_ = &stats_.counter("probes");
     hPauseTicks_ = &stats_.histogram("pfc_pause_ticks");
     hTxBatchSize_ = &stats_.histogram("tx_batch_size");
 
@@ -207,10 +210,10 @@ SnicMqueue::pushRx(sim::Core &core, std::span<const RxItem> batch,
         LYNX_ASSERT(it.payload.size() <= layout_.maxPayload(), name_,
                     ": payload exceeds slot capacity");
     }
-    // The §5.1 barrier sequence is strictly per-message and split-write
-    // mode has no single contiguous image to emit: both run this loop
+    // The §5.1 barrier sequence is strictly per-message and a split
+    // write has no single contiguous image to emit: both run this loop
     // one slot per segment, exactly a sequence of single pushes.
-    const bool inParts = cfg_.writeBarrier || !cfg_.coalesceMetadata;
+    const bool inParts = cfg_.rxWrite != RxWrite::Coalesced;
     const std::size_t segCap = inParts ? 1 : maxBatch();
 
     std::size_t accepted = 0;
@@ -324,15 +327,16 @@ SnicMqueue::writeSlotInParts(sim::Core &core, std::uint64_t slot,
     // The §5.1 GPU consistency workaround: everything but the
     // doorbell, a blocking RDMA read as a write barrier, then the
     // doorbell (3 ops, one of them blocking).
+    const bool barrier = cfg_.rxWrite == RxWrite::Barrier;
     std::vector<std::uint8_t> head = encodeSlotWrite(it.payload, meta);
-    std::size_t cut = cfg_.writeBarrier ? head.size() - 4 : meta.len;
+    std::size_t cut = barrier ? head.size() - 4 : meta.len;
     std::vector<std::uint8_t> tail(head.begin() + cut, head.end());
     head.resize(cut);
-    cRxWriteOps_->add(cfg_.writeBarrier ? 3 : 2);
+    cRxWriteOps_->add(barrier ? 3 : 2);
     if (!co_await pushWrite(core, slotWriteOffset(slotEnd, meta.len),
                             std::move(head)))
         co_return false;
-    if (cfg_.writeBarrier &&
+    if (barrier &&
         !co_await signalled(core, [this] { return qp_.readBarrier(); }))
         co_return false;
     std::uint64_t tailOff = slotEnd - tail.size();
@@ -415,17 +419,21 @@ SnicMqueue::commitTxCons(sim::Core &core)
 }
 
 std::optional<std::uint32_t>
-SnicMqueue::allocTag(const ClientRef &client)
+SnicMqueue::allocTag(const ClientRef &client,
+                     std::span<const std::uint8_t> payload)
 {
     LYNX_ASSERT(kind_ == MqueueKind::Server,
                 "tag table is a server-queue facility");
     if (freeTags_.empty()) {
-        stats_.counter("tag_table_full").add();
+        cTagTableFull_->add();
         return std::nullopt;
     }
     std::uint32_t idx = freeTags_.back();
     freeTags_.pop_back();
     tags_[idx] = client;
+    // Host-side copy only: retention costs no simulated time.
+    if (hasRetryPolicy() && tags_[idx]->payload.empty())
+        tags_[idx]->payload.assign(payload.begin(), payload.end());
     std::uint32_t tag = idx | (tagGen_[idx] << 16);
     if (cfg_.tenants && client.tenant != 0)
         cfg_.tenants->noteTagAlloc(client.tenant);
@@ -513,7 +521,7 @@ SnicMqueue::repairGaps(sim::Core &core)
         if (!ok)
             co_return false; // still partitioned; next probe retries
         lostSlots_.erase(lostSlots_.begin());
-        stats_.counter("slots_repaired").add();
+        cSlotsRepaired_->add();
         repaired = true;
         LYNX_TRACE(sim_, "mqueue", name_, ": repaired gap at seq ",
                    meta.seq);
@@ -526,7 +534,7 @@ SnicMqueue::repairGaps(sim::Core &core)
 sim::Co<bool>
 SnicMqueue::probeAlive(sim::Core &core)
 {
-    stats_.counter("probes").add();
+    cProbes_->add();
     co_await core.exec(qp_.path().postCost);
     std::uint8_t buf[4];
     rdma::WcStatus st = co_await qp_.read(layout_.rxConsOff(), buf);

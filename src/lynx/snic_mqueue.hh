@@ -8,8 +8,8 @@
  *
  *  - RX push: one coalesced RDMA write of payload+metadata+doorbell
  *    (the §5.1 optimization), or the 3-op consistency-barrier
- *    sequence (data write, blocking RDMA read, doorbell write) when
- *    `writeBarrier` is set;
+ *    sequence (data write, blocking RDMA read, doorbell write) under
+ *    RxWrite::Barrier;
  *  - flow control: the SNIC tracks its own producer count and a
  *    *cached* copy of the accelerator's consumer register, refreshed
  *    by an RDMA read only when the ring looks full;
@@ -53,32 +53,35 @@ class TenantTable;
  *  fixed backend destination (§4.3). */
 enum class MqueueKind { Server, Client };
 
+/** How an RX push writes a message into its ring slot (§5.1). */
+enum class RxWrite : std::uint8_t
+{
+    Coalesced, ///< payload, metadata and doorbell in one RDMA write
+    Split,     ///< payload, then metadata + doorbell (2 ordered writes)
+    Barrier,   ///< GPU workaround: write, blocking read, doorbell (~5 us)
+};
+
 /** SNIC-side behaviour switches. */
 struct SnicMqueueConfig
 {
-    /** Coalesce payload, metadata and doorbell into one RDMA write
-     *  (§5.1). Off = separate data and doorbell writes. */
-    bool coalesceMetadata = true;
-
-    /** Use the GPU consistency workaround: data write + blocking
-     *  RDMA read barrier + doorbell write (§5.1; adds ~5 us and
-     *  disables coalescing). */
-    bool writeBarrier = false;
+    /** RX slot write discipline. */
+    RxWrite rxWrite = RxWrite::Coalesced;
 
     /** Maximum messages rxPushBatch() emits as ONE coalesced RDMA
      *  write (one post cost, one trailing doorbell), and how many a
      *  dispatcher stages per mqueue before pushing them. 1 =
      *  per-message writes, exactly the unbatched behaviour. Segments
-     *  split at a ring-wrap boundary (each stays contiguous);
-     *  `writeBarrier`/split-write modes emit one slot per segment
-     *  (see docs/INTERNALS.md §5). */
+     *  split at a ring-wrap boundary (each stays contiguous); the
+     *  Split and Barrier write modes emit one slot per segment (see
+     *  docs/INTERNALS.md §5). */
     int maxBatch = 1;
 
     /** Surface RDMA completion errors on ring accesses and retry
      *  them with exponential backoff. Off (maxRetries = 0, the
      *  default) keeps the seed's posted, fire-and-forget writes with
      *  bit-identical timing; required when a fault plan is bound to
-     *  the QP and recovery matters (docs/INTERNALS.md §7). */
+     *  the QP and recovery matters (docs/INTERNALS.md §7). It also
+     *  makes the queue a failover queue (see hasRetryPolicy()). */
     rdma::RdmaRetryPolicy retry;
 
     /** 802.1Qbb-style PFC on the RX ring: a push that finds the ring
@@ -87,8 +90,8 @@ struct SnicMqueueConfig
      *  register until occupancy drains to the XON threshold or the
      *  pause-storm guard breaks the episode. Off by default: a full
      *  ring fails the push immediately (seed timing), counted in the
-     *  `overflow` counter. Usually copied from
-     *  net::CongestionConfig::pfc by the Runtime. */
+     *  `overflow` counter. The Runtime sets it from the congestion
+     *  plane of the network its NIC is attached to. */
     net::PfcConfig pfc;
 
     /** Tenant table for per-tenant ring-tag accounting (mqueue
@@ -132,9 +135,10 @@ struct ClientRef
     std::uint16_t tenant = 0;
     std::uint16_t tenantGen = 0;
 
-    /** Copy of the request payload, kept only when the dispatcher
-     *  runs with payload retention (failover): it is what health
-     *  draining re-queues to a surviving mqueue. Empty otherwise. */
+    /** Copy of the request payload, kept only by an mqueue with a
+     *  retry policy (failover; see SnicMqueue::allocTag): it is what
+     *  health draining re-queues to a surviving mqueue. Empty
+     *  otherwise. */
     std::vector<std::uint8_t> payload;
 };
 
@@ -167,7 +171,7 @@ class SnicMqueue
      * Push @p items into the RX ring, coalescing up to
      * `cfg.maxBatch` contiguous slots per RDMA write: one post cost
      * and one trailing doorbell cover the whole segment. Segments
-     * split at ring-wrap boundaries; write-barrier and split-write
+     * split at ring-wrap boundaries; the Split and Barrier write
      * modes emit one slot per segment. The consumer cache is
      * refreshed over RDMA only when the ring looks full.
      * @pre !items.empty().
@@ -246,11 +250,16 @@ class SnicMqueue
      *  generation bumps on every release, so a *stale* response —
      *  e.g. from a revived accelerator answering a request whose tag
      *  was drained and since re-allocated by failover — can never be
-     *  mis-matched to a new client (tryReleaseTag rejects it). */
-    std::optional<std::uint32_t> allocTag(const ClientRef &client);
+     *  mis-matched to a new client (tryReleaseTag rejects it). With
+     *  a retry policy the entry also keeps a copy of @p payload
+     *  (unless @p client carries one): what a failover drain
+     *  re-queues. */
+    std::optional<std::uint32_t>
+    allocTag(const ClientRef &client,
+             std::span<const std::uint8_t> payload = {});
 
-    /** Release @p tag; panics on an unknown/stale tag (the seed's
-     *  strict behaviour — a stale tag without failover is a bug). */
+    /** Release @p tag; panics on an unknown/stale tag (a stale tag
+     *  on a queue without a retry policy is a bug). */
     ClientRef releaseTag(std::uint32_t tag);
 
     /** Release @p tag if it is currently allocated with a matching
@@ -280,6 +289,12 @@ class SnicMqueue
     /** @return total tag-table capacity — the denominator of the
      *  occupancy fraction admission control sheds on. */
     std::size_t tagCapacity() const { return tags_.size(); }
+
+    /** @return whether this queue has a retry policy, i.e. takes
+     *  part in failover: allocTag() retains payloads, and a response
+     *  whose tag is unknown is a stale duplicate to drop and count,
+     *  not a protocol violation. */
+    bool hasRetryPolicy() const { return cfg_.retry.enabled(); }
     /** @} */
 
     /** @{ Transport health (fault injection + failover).
@@ -361,7 +376,7 @@ class SnicMqueue
                                 std::span<const RxItem> batch,
                                 RxItem single);
 
-    /** Emit claimed RX slot @p slot in write-barrier or split-write
+    /** Emit claimed RX slot @p slot in the Split or Barrier write
      *  mode (several ops per slot). @return false when a write's
      *  retry budget ran out (transportDead() is set). */
     sim::Co<bool> writeSlotInParts(sim::Core &core, std::uint64_t slot,
@@ -481,6 +496,9 @@ class SnicMqueue
     sim::Counter *cPfcPauses_;
     sim::Counter *cPfcResumes_;
     sim::Counter *cPfcStormBreaks_;
+    sim::Counter *cTagTableFull_;
+    sim::Counter *cSlotsRepaired_;
+    sim::Counter *cProbes_;
     sim::Histogram *hPauseTicks_;
     sim::Histogram *hTxBatchSize_;
 };

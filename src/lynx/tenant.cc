@@ -11,8 +11,7 @@ TenantTable::TenantTable(sim::Simulator &sim, TenantConfig cfg)
     : sim_(sim), cfg_(cfg),
       cAdded_(&stats_.counter("added")),
       cRetired_(&stats_.counter("retired")),
-      cAutoRegistered_(&stats_.counter("auto_registered")),
-      cUntenantedRejected_(&stats_.counter("untenanted_rejected"))
+      cAutoRegistered_(&stats_.counter("auto_registered"))
 {
     sim_.metrics().add("tenant.table", stats_);
 }

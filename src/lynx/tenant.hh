@@ -298,12 +298,6 @@ class TenantTable
     /** Table-wide stats (`tenant.table`). */
     sim::StatSet &stats() { return stats_; }
 
-    /** Counted reject of an *untenanted* arrival shed by dispatch-
-     *  plane admission control — the same no-silent-loss ledger the
-     *  per-tenant SLA rejects live in, reused for the tenantless
-     *  path (`tenant.table.untenanted_rejected`). */
-    void rejectedUntenanted() { cUntenantedRejected_->add(); }
-
     /** Register a capacity-freed hook, fired whenever an in-flight
      *  slot or ring tag is released — the Runtime uses it to reopen
      *  parked class queues (event-driven, no polling). */
@@ -351,7 +345,6 @@ class TenantTable
     sim::Counter *cAdded_;
     sim::Counter *cRetired_;
     sim::Counter *cAutoRegistered_;
-    sim::Counter *cUntenantedRejected_;
 };
 
 } // namespace lynx::core

@@ -357,8 +357,10 @@ struct CongestionConfig
      *  the congested egress queues — CNPs ride the highest priority). */
     sim::Tick cnpDelay = sim::microseconds(2);
 
-    /** PFC pause/resume on SNIC mqueue RX rings. Copied into
-     *  SnicMqueueConfig::pfc by the Runtime. */
+    /** PFC pause/resume on SNIC mqueue RX rings (needs `enabled`).
+     *  Every Lynx Runtime whose NIC is attached to this network
+     *  copies it into SnicMqueueConfig::pfc; it is their only
+     *  source. */
     PfcConfig pfc;
 };
 

@@ -223,6 +223,9 @@ class Nic
     /** @return the simulator this NIC lives on. */
     sim::Simulator &simulator() { return sim_; }
 
+    /** @return the network this NIC is attached to. */
+    const Network &network() const { return network_; }
+
     /**
      * Bind (@p proto, @p port) and return its endpoint.
      * @pre the pair is not yet bound.

@@ -61,9 +61,18 @@ TraceControl::parseCategories(const std::string &list)
     return out;
 }
 
+void
+TraceControl::syncAnyEnabled()
+{
+    const State &s = state();
+    anyEnabled_ = s.all || !s.categories.empty() ? 1 : 0;
+}
+
 bool
 TraceControl::enabled(const std::string &category)
 {
+    if (anyEnabled_ < 0)
+        syncAnyEnabled();
     const State &s = state();
     return s.all || s.categories.contains(category);
 }
@@ -75,6 +84,7 @@ TraceControl::enable(const std::string &category)
         state().all = true;
     else
         state().categories.insert(category);
+    syncAnyEnabled();
 }
 
 void
@@ -84,12 +94,14 @@ TraceControl::disable(const std::string &category)
         state().all = false;
     else
         state().categories.erase(category);
+    syncAnyEnabled();
 }
 
 void
 TraceControl::reset()
 {
     state() = envOnly();
+    syncAnyEnabled();
 }
 
 void

@@ -77,7 +77,8 @@ class Bluefield
         cfg.backendStack = calibration::backendTcpBluefield();
         cfg.dispatchCpu = calibration::dispatchCpuArm;
         cfg.forwarder.forwardCpu = calibration::forwardCpuArm;
-        cfg.forwarder.pollDiscovery = calibration::snicPollDiscovery;
+        cfg.forwarder.pollBackoffMin = calibration::snicPollDiscovery;
+        cfg.forwarder.pollBackoffMax = calibration::snicPollDiscovery;
         cfg.forwarder.scanPerQueue = sim::nanoseconds(35);
         cfg.gio.localLatency = calibration::gpuLocalMemLatency;
         cfg.gio.perByte = calibration::gpuLocalPerByte;
@@ -105,7 +106,8 @@ hostRuntimeConfig(std::vector<sim::Core *> cores, net::Nic &nic)
     cfg.backendStack = calibration::backendTcpXeon();
     cfg.dispatchCpu = calibration::dispatchCpuXeon;
     cfg.forwarder.forwardCpu = calibration::forwardCpuXeon;
-    cfg.forwarder.pollDiscovery = calibration::snicPollDiscovery;
+    cfg.forwarder.pollBackoffMin = calibration::snicPollDiscovery;
+    cfg.forwarder.pollBackoffMax = calibration::snicPollDiscovery;
     cfg.forwarder.scanPerQueue = sim::nanoseconds(15);
     cfg.gio.localLatency = calibration::gpuLocalMemLatency;
     cfg.gio.perByte = calibration::gpuLocalPerByte;

@@ -109,7 +109,8 @@ class InnovaAfu
         net::StackProfile hw{};
         core::ForwarderConfig fcfg;
         fcfg.forwardCpu = 0;
-        fcfg.pollDiscovery = cfg_.afuPerMessage;
+        fcfg.pollBackoffMin = cfg_.afuPerMessage;
+        fcfg.pollBackoffMax = cfg_.afuPerMessage;
         fcfg.scanPerQueue = 0;
         egress_ = std::make_unique<core::Forwarder>(
             sim_, name_ + ".egress", afuEngine_, nic_, hw, hw, fcfg);

@@ -5,8 +5,7 @@
 namespace lynx::workload {
 
 sim::Co<std::optional<net::Message>>
-recvTimeout(sim::Simulator &sim, net::Endpoint &ep, sim::Tick timeout,
-            sim::Tick)
+recvTimeout(sim::Simulator &sim, net::Endpoint &ep, sim::Tick timeout)
 {
     sim::Tick deadline = sim.now() + timeout;
     for (;;) {

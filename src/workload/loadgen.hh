@@ -62,8 +62,7 @@ namespace lynx::workload {
 
 /** Await a message with a deadline; nullopt on timeout. */
 sim::Co<std::optional<net::Message>>
-recvTimeout(sim::Simulator &sim, net::Endpoint &ep, sim::Tick timeout,
-            sim::Tick pollStep = sim::microseconds(20));
+recvTimeout(sim::Simulator &sim, net::Endpoint &ep, sim::Tick timeout);
 
 /** Configuration of one load generator. */
 struct LoadGenConfig

@@ -84,7 +84,6 @@ measure(bool batched)
     accel::Gpu gpu(s, "gpu0", fabric);
 
     core::RuntimeConfig cfg = bf.lynxRuntimeConfig();
-    cfg.congestion = ncfg.congestion;
     if (batched) {
         cfg.mq.maxBatch = 8;
     }

@@ -105,7 +105,6 @@ runChaos(std::uint64_t seed, double dropRate)
     nw.setFaultPlan(&plan);
 
     core::RuntimeConfig cfg = bf.lynxRuntimeConfig();
-    cfg.congestion = ncfg.congestion;
     cfg.failover.enabled = true; // installs the sw RDMA retry budget
     core::Runtime rt(s, cfg);
 

@@ -137,7 +137,6 @@ runFig8bScale(const GoldenKnobs &knobs)
     apps::LeNet model;
 
     core::RuntimeConfig cfg = bf.lynxRuntimeConfig();
-    cfg.congestion = ncfg.congestion;
     if (knobs.batching) {
         cfg.dispatchFlushLinger = 2_us;
         cfg.mq.maxBatch = 8;

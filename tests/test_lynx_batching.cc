@@ -152,7 +152,7 @@ TEST(Batching, WriteBarrierModeFallsBackToPerMessagePushes)
     Rig r;
     SnicMqueueConfig cfg;
     cfg.maxBatch = 4;
-    cfg.writeBarrier = true;
+    cfg.rxWrite = core::RxWrite::Barrier;
     SnicMqueue mq(r.s, "mq", r.qp, r.layout, MqueueKind::Server, cfg);
     AccelQueue gio(r.s, "gio", r.mem, r.layout);
 
@@ -328,7 +328,7 @@ TEST(Batching, BatchedRuntimeEchoesConcurrentClientsFaithfully)
     cfg.mq.maxBatch = 8;
     cfg.dispatchFlushLinger = 30_us;
     cfg.forwarder.maxBatch = 8;
-    cfg.forwarder.adaptivePoll = true;
+    cfg.forwarder.pollBackoffMin = calibration::snicPollBackoffMin;
     cfg.gio.rxBurst = true;
     core::Runtime rt(s, cfg);
     auto &accel = rt.addAccelerator("k40m", gpu.memory(),

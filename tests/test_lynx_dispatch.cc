@@ -143,7 +143,7 @@ TEST(DispatchOutcome, EvacuationMidRetryOwnsTheRequest)
 {
     FailingRig r;
     core::Dispatcher d("d", core::DispatchPolicy::RoundRobin,
-                       core::DispatcherConfig{.retainPayloads = true});
+                       core::DispatcherConfig{});
     d.addQueue(r.mqs[0].get());
     d.addQueue(r.mqs[1].get());
 
@@ -183,8 +183,7 @@ TEST(DispatchOutcome, EvacuationMidRetryOwnsTheTenantRequest)
     FailingRig r(/*tenanted=*/true);
     core::TenantId t = r.table.add();
     core::Dispatcher d("d", core::DispatchPolicy::RoundRobin,
-                       core::DispatcherConfig{.retainPayloads = true,
-                                              .tenants = &r.table});
+                       core::DispatcherConfig{.tenants = &r.table});
     d.addQueue(r.mqs[0].get());
     d.addQueue(r.mqs[1].get());
 

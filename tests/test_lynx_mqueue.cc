@@ -319,7 +319,7 @@ TEST(SnicAccelQueue, WriteBarrierModeDeliversCorrectlyAndSlower)
     Rig r;
     core::SnicMqueueConfig fast;
     core::SnicMqueueConfig barrier;
-    barrier.writeBarrier = true;
+    barrier.rxWrite = core::RxWrite::Barrier;
 
     MqueueLayout l2{r.layout.totalBytes() + 64, 8, 256};
     SnicMqueue fastQ(r.s, "fast", r.qp, r.layout, MqueueKind::Server, fast);

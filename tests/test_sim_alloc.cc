@@ -38,6 +38,7 @@
 #include "sim/pool.hh"
 #include "sim/simulator.hh"
 #include "sim/task.hh"
+#include "sim/trace.hh"
 #include "workload/loadgen.hh"
 
 using namespace lynx;
@@ -372,6 +373,24 @@ TEST(AllocFreeHotPath, HotEventShapesFitInline)
     static_assert(sim::EventFn::fitsInline<decltype(deliverFn)>);
     static_assert(sizeof(net::Message) == 64);
     SUCCEED();
+}
+
+/** With every trace category off, a LYNX_TRACE call is one inline
+ *  load and branch: it builds no category string (this one is past
+ *  the small-string buffer), formats nothing and allocates nothing. */
+TEST(AllocFreeHotPath, DisabledTraceAllocatesNothing)
+{
+    sim::TraceControl::reset();
+    if (sim::TraceControl::anyEnabled())
+        GTEST_SKIP() << "LYNX_TRACE is set in the environment";
+    sim::Simulator s;
+    const std::uint64_t before = g_allocCount;
+    for (int i = 0; i < 1000; ++i) {
+        LYNX_TRACE(s, "a-category-longer-than-the-sso-buffer", "seq ",
+                   i, " of ", 1000);
+    }
+    EXPECT_EQ(g_allocCount - before, 0u)
+        << "a disabled LYNX_TRACE allocated";
 }
 
 /** The per-message tenant accounting path — admission, ring-tag

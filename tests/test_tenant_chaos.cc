@@ -152,7 +152,6 @@ runChaos(std::uint64_t seed, double dropRate)
     nw.setFaultPlan(&plan);
 
     core::RuntimeConfig cfg = bf.lynxRuntimeConfig();
-    cfg.congestion = ncfg.congestion;
     cfg.failover.enabled = true; // sw RDMA retry budget + requeues
     cfg.tenancy.enabled = true;
     cfg.tenancy.autoRegister = true;
