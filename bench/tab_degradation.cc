@@ -79,7 +79,7 @@ measure(int gpus, sim::FaultConfig fc, bool partitionRemote,
     nw.setFaultPlan(&plan);
 
     core::RuntimeConfig cfg = bf.lynxRuntimeConfig();
-    cfg.failover.enabled = true;
+    cfg.mq.retry = calibration::rdmaSwRetryPolicy();
     core::Runtime rt(s, cfg);
     rdma::RdmaPathModel lp;
     auto remotePath =

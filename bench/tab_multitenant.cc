@@ -81,10 +81,13 @@ victimPayloadFor(std::uint64_t seq)
 
 /** Open-loop Poisson sender multiplexing kBackgroundTenants tenant
  *  ids from one NIC, ranks drawn Zipf(kZipfSkew) per request — two
- *  hundred VFs without two hundred simulated client machines. */
+ *  hundred VFs without two hundred simulated client machines. With
+ *  @p virtualized off every request is the default VF's, drawn from
+ *  the same random stream. */
 sim::Task
 zipfBackground(sim::Simulator &s, net::Nic &nic, net::Address target,
-               double rps, sim::Tick until, std::uint64_t seed)
+               double rps, sim::Tick until, std::uint64_t seed,
+               bool virtualized)
 {
     sim::Rng rng(seed);
     sim::ZipfDist zipf(kBackgroundTenants, kZipfSkew);
@@ -98,8 +101,9 @@ zipfBackground(sim::Simulator &s, net::Nic &nic, net::Address target,
         m.dst = target;
         m.payload.assign(64, 0x5b);
         m.seq = seq++;
-        m.tenant = static_cast<std::uint16_t>(kFirstBackgroundTenant +
-                                              zipf(rng));
+        auto rank = static_cast<core::TenantId>(kFirstBackgroundTenant +
+                                                zipf(rng));
+        m.tenant = virtualized ? rank : core::kDefaultVf;
         co_await nic.send(std::move(m));
     }
 }
@@ -137,7 +141,6 @@ measure(bool virtualized, double bullyRps, bool fast)
 
     core::RuntimeConfig cfg = bf.lynxRuntimeConfig();
     if (virtualized) {
-        cfg.tenancy.enabled = true;
         cfg.tenancy.autoRegister = true; // background VFs on first sight
         cfg.tenancy.defaults.weight = 1;
         cfg.tenancy.defaults.maxInFlight = 8;
@@ -152,17 +155,17 @@ measure(bool virtualized, double bullyRps, bool fast)
         vq.weight = 8;
         vq.maxInFlight = 0;
         vq.mqueueQuota = 8;
-        kVictimTenant = rt.tenants()->add(vq);
+        kVictimTenant = rt.tenants().add(vq);
         // The bully's VF: one ring slot at a time, eight admitted
         // requests total — everything beyond is a counted rejection.
         core::TenantQuota bq;
         bq.weight = 1;
         bq.maxInFlight = 8;
         bq.mqueueQuota = 1;
-        kBullyTenant = rt.tenants()->add(bq);
+        kBullyTenant = rt.tenants().add(bq);
     } else {
-        kVictimTenant = 1;
-        kBullyTenant = 2;
+        kVictimTenant = core::kDefaultVf;
+        kBullyTenant = core::kDefaultVf;
     }
 
     auto &accel = rt.addAccelerator("gpu0", gpu.memory(), {});
@@ -186,7 +189,7 @@ measure(bool virtualized, double bullyRps, bool fast)
     auto &bgNic = nw.addNic("background");
     net::Endpoint &bgEp = bgNic.bind(net::Protocol::Udp, 45000);
     sim::spawn(s, zipfBackground(s, bgNic, {bf.node(), 7000},
-                                 kBackgroundRps, until, 77));
+                                 kBackgroundRps, until, 77, virtualized));
     sim::spawn(s, drainResponses(bgEp));
 
     auto &bullyNic = nw.addNic("bully");
@@ -231,13 +234,14 @@ measure(bool virtualized, double bullyRps, bool fast)
 
     TenantCell out;
     out.victim = collect(victim);
-    if (core::TenantTable *t = rt.tenants()) {
+    if (virtualized) {
+        core::TenantTable &t = rt.tenants();
         out.bullyRejected =
-            t->statsOf(kBullyTenant).counterValue("rejected");
+            t.statsOf(kBullyTenant).counterValue("rejected");
         out.bullyAdmitted =
-            t->statsOf(kBullyTenant).counterValue("admitted");
+            t.statsOf(kBullyTenant).counterValue("admitted");
         out.victimRejected =
-            t->statsOf(kVictimTenant).counterValue("rejected");
+            t.statsOf(kVictimTenant).counterValue("rejected");
         out.dispatcherRejects = svc.dispatcher().stats().counterValue(
             "dropped_tenant_reject");
     }

@@ -15,6 +15,7 @@
 #define LYNX_LYNX_CALIBRATION_HH
 
 #include "net/stack.hh"
+#include "rdma/qp.hh"
 #include "sim/time.hh"
 
 namespace lynx::calibration {
@@ -229,6 +230,14 @@ constexpr int rdmaSwRetryLimit = 4;
  *  waiting). */
 constexpr Tick rdmaSwBackoffBase = microseconds(2);
 constexpr Tick rdmaSwBackoffMax = microseconds(64);
+
+/** The calibrated software retry policy above. Giving a Runtime's
+ *  mqueues this policy (`mq.retry`) is what turns failover on. */
+constexpr rdma::RdmaRetryPolicy
+rdmaSwRetryPolicy()
+{
+    return {rdmaSwRetryLimit, rdmaSwBackoffBase, rdmaSwBackoffMax};
+}
 
 /** Health-monitor sweep period. 1 ms resolves a dead accelerator
  *  ~50x faster than the backend response timeout while adding only

@@ -5,11 +5,11 @@
  * the dispatching policy, e.g. load balancing for stateless services,
  * or steering messages to specific queues for stateful ones" (§4.2).
  *
- * Every request takes one placement path: route() picks a queue from
- * the flow tuple, place() claims a response tag and pushes, and one
- * failure rule (pushFailed()) decides between re-dispatch, a counted
- * drop, and leaving the request to a failover drain. Every failed
- * request lands in exactly one DropReason counter.
+ * Every request is admitted to a tenant VF (lynx/tenant.hh), then
+ * route() picks a queue from the flow tuple and claim() takes a tag
+ * and stages or pushes. One failure rule (parkOrDrop()) parks a
+ * registered VF's request that found no room and drops the default
+ * VF's. Every drop lands in exactly one DropReason counter.
  *
  * When a target mqueue coalesces RX writes (SnicMqueueConfig::maxBatch
  * > 1) the dispatcher stages messages for it and hands them to
@@ -58,8 +58,8 @@ enum class DispatchPolicy
     Rss,
 };
 
-/** Dispatch-plane admission control (the untenanted path; tenants
- *  carry their own SLA caps in the TenantTable). */
+/** Dispatch-plane admission control (the default VF's; registered
+ *  VFs carry their own SLA caps in the TenantTable). */
 struct AdmissionConfig
 {
     /** Master switch. Off (default): the seed path, bit-identical —
@@ -79,18 +79,10 @@ struct DispatcherConfig
     /** CPU charged per dispatched message. */
     sim::Tick dispatchCpu = 0;
 
-    /** Tenant table (lynx/tenant.hh). Non-null virtualizes the
-     *  dispatch path for messages with a tenant id: SLA admission,
-     *  per-tenant class queues drained by weighted round-robin
-     *  under the mqueue quota. Null (default) = the seed path,
-     *  bit-identical timing; messages with tenant id 0 always take
-     *  the seed path either way. */
-    TenantTable *tenants = nullptr;
-
     /** RSS indirection-table shape for DispatchPolicy::Rss. */
     net::steer::RssConfig rss = {};
 
-    /** Dispatch-plane admission control (untenanted path). */
+    /** Dispatch-plane admission control (default VF). */
     AdmissionConfig admission = {};
 };
 
@@ -104,7 +96,7 @@ enum class DropReason : std::uint8_t
     Transport,    ///< on a failed-over mqueue, no payload retained
     NoLiveQueue,  ///< every mqueue is dead or transport-failed
     TenantReject, ///< refused by the TenantTable's SLA admission
-    Shed,         ///< shed by the untenanted occupancy gate
+    Shed,         ///< shed by the default VF's occupancy gate
 };
 
 /** Number of DropReason values. */
@@ -115,9 +107,11 @@ inline constexpr std::size_t kDropReasons =
 class Dispatcher
 {
   public:
+    /** @param tenants the VF ledger every request is admitted to. */
     Dispatcher(std::string name, DispatchPolicy policy,
-               DispatcherConfig cfg)
-        : name_(std::move(name)), policy_(policy), cfg_(cfg),
+               TenantTable &tenants, DispatcherConfig cfg = {})
+        : name_(std::move(name)), policy_(policy), tenants_(tenants),
+          cfg_(cfg),
           cDispatched_(&stats_.counter("dispatched")),
           cBatchFlushes_(&stats_.counter("batch_flushes")),
           cRequeued_(&stats_.counter("requeued")),
@@ -178,67 +172,51 @@ class Dispatcher
     bool queueDead(std::size_t qi) const { return dead_[qi] != 0; }
 
     /**
-     * Dispatch @p msg: pick an mqueue, allocate a response tag for
-     * the client, push into the RX ring. Charges CPU on @p core.
-     * Full rings / tag tables drop the message (UDP semantics).
-     * When the target mqueue coalesces RX writes (its maxBatch > 1)
-     * the message may instead be staged; callers must eventually
-     * flush() (see hasStaged()).
+     * Dispatch @p msg: admit it to its VF, pick an mqueue, allocate a
+     * response tag for the client, push into the RX ring or stage it
+     * (see claim(); callers must eventually flush(), see
+     * hasStaged()). Charges CPU on @p core.
      */
     sim::Co<void>
     dispatch(sim::Core &core, net::Message msg)
     {
         LYNX_ASSERT(!queues_.empty(), name_, ": no mqueues registered");
         co_await core.exec(cfg_.dispatchCpu);
-        if (cfg_.tenants && msg.tenant != 0) {
-            // Virtualized path: admission + class queues + WRR. One
-            // branch on a null pointer is all the untenanted world
-            // pays for it.
-            co_await dispatchTenant(core, std::move(msg));
+        // Larger than a ring slot (one size per service): drop like
+        // an oversized datagram instead of corrupting the ring.
+        if (msg.size() > queues_[0]->layout().maxPayload()) {
+            drop(DropReason::Oversized);
             co_return;
         }
-        if (cfg_.admission.enabled) {
-            if (!admitUntenanted()) {
+        TenantId t = msg.tenant;
+        if (cfg_.admission.enabled && t == kDefaultVf) {
+            if (!admitOccupancy()) {
                 // Shed at the dispatch plane instead of letting the
-                // overload deepen the rings: counted here and, when
-                // the runtime is tenant-aware, in the TenantTable's
-                // reject ledger — the client sees a timeout, the
-                // operator sees a number (never a silent loss).
+                // overload deepen the rings: counted, never silent.
                 drop(DropReason::Shed);
                 co_return;
             }
             cAdmitted_->add();
         }
-        std::size_t qi = route(msg.src, msg.dst);
-        if (qi == kNoQueue) {
-            drop(DropReason::NoLiveQueue);
+        if (!tenants_.admit(t)) {
+            // Admission reject IS the SLA knob: an over-cap (or
+            // retired/unknown) tenant's arrival is refused with a
+            // counted drop reason, keeping "no silent loss".
+            drop(DropReason::TenantReject);
             co_return;
         }
-        SnicMqueue &mq = *queues_[qi];
-        if (msg.size() > mq.layout().maxPayload()) {
-            // Larger than a ring slot: drop like an oversized
-            // datagram instead of corrupting the ring.
-            drop(DropReason::Oversized);
+        Pending p{std::move(msg.payload), clientOf(msg)};
+        if (!parks(t)) {
+            co_await deliver(core, p);
             co_return;
         }
-        ClientRef client = clientOf(msg);
-        if (mq.maxBatch() <= 1) {
-            Outcome o = co_await place(core, qi, msg.payload, client);
-            if (o == Outcome::NoTag)
-                drop(DropReason::NoTag, &client);
-            else if (o == Outcome::RingFull)
-                drop(DropReason::RingFull, &client);
-            co_return;
-        }
-        auto tag = mq.allocTag(client, msg.payload);
-        if (!tag) {
-            drop(DropReason::NoTag, &client);
-            co_return;
-        }
-        staged_[qi].push_back({std::move(msg.payload), *tag});
-        ++stagedCount_;
-        if (staged_[qi].size() >= mq.maxBatch())
-            co_await flushQueue(core, qi);
+        if (classes_.size() <= t)
+            classes_.resize(tenants_.idSpan());
+        classes_[t].push_back(std::move(p));
+        ++tenantPendingTotal_;
+        co_await pumpTenants(core);
+        if (tenantPendingTotal_ != 0 && backlogHook_)
+            backlogHook_();
     }
 
     /** @return whether staged messages await a flush(). */
@@ -333,10 +311,9 @@ class Dispatcher
 
     /** @{ @name Tenant traffic classes (lynx/tenant.hh)
      *
-     *  With a TenantTable configured, tenanted messages go through
-     *  admission (SLA cap) into a per-tenant class queue; the pump
-     *  places queued work onto the mqueues in smooth-WRR order,
-     *  subject to each tenant's mqueue quota. The pump is
+     *  A registered VF's admitted requests wait in its class queue;
+     *  the pump places queued work onto the mqueues in smooth-WRR
+     *  order, subject to each tenant's mqueue quota. The pump is
      *  work-conserving: any tenant with queued work and quota
      *  headroom keeps the rings busy, whatever the others do. */
 
@@ -356,50 +333,35 @@ class Dispatcher
 
     /**
      * Drain the class queues: repeatedly WRR-pick an eligible
-     * tenant (non-empty class, below its mqueue quota), place its
-     * oldest message. Stops when nothing is eligible, the tag table
-     * fills, or a ring rejects the push (the message returns to the
-     * head of its class; freed capacity re-triggers via the
-     * backlog hook / TenantTable capacity hooks).
+     * tenant (non-empty class, below its mqueue quota) and deliver
+     * its oldest message. Stops when nothing is eligible or a message
+     * is parked (freed capacity re-triggers via the backlog hook /
+     * TenantTable capacity hooks). Staged work awaits a flush().
      */
     sim::Co<void>
     pumpTenants(sim::Core &core)
     {
-        if (!cfg_.tenants || tenantPendingTotal_ == 0)
+        if (tenantPendingTotal_ == 0)
             co_return;
+        // Ends on a pick of nothing or on a park (which refunds the
+        // pick), so no served pick is left for a later unpick().
         for (;;) {
             std::size_t t = wrr_.pick(
                 classes_.size(), [&](std::size_t i) -> std::int64_t {
                     if (classes_[i].empty())
                         return 0;
                     TenantId id = static_cast<TenantId>(i);
-                    if (!cfg_.tenants->belowTagQuota(id))
+                    if (!tenants_.belowTagQuota(id))
                         return 0;
-                    return cfg_.tenants->weight(id);
+                    return tenants_.weight(id);
                 });
             if (t == WrrPicker::kNone)
                 co_return;
             Pending p = std::move(classes_[t].front());
             classes_[t].pop_front();
             --tenantPendingTotal_;
-            std::size_t qi = route(p.client.addr, p.client.dst);
-            if (qi == kNoQueue) {
-                drop(DropReason::NoLiveQueue, &p.client);
-                continue;
-            }
-            Outcome o = co_await place(core, qi, p.payload, p.client);
-            if (o == Outcome::NoTag || o == Outcome::RingFull) {
-                // Tag table or ring full: park at the head of the
-                // class (its FIFO order is preserved) until a release
-                // or consumption frees capacity. The turn served
-                // nothing — refund it, or the retry cadence aliases
-                // against the weight pattern and can starve a class
-                // (WrrPicker::unpick).
-                classes_[t].push_front(std::move(p));
-                ++tenantPendingTotal_;
-                wrr_.unpick();
+            if (!co_await deliver(core, p))
                 co_return;
-            }
         }
     }
     /** @} */
@@ -411,7 +373,7 @@ class Dispatcher
         std::uint32_t tag;
     };
 
-    /** One admitted-but-not-yet-placed tenant request. */
+    /** One admitted request not yet in a ring. */
     struct Pending
     {
         net::Payload payload;
@@ -421,23 +383,70 @@ class Dispatcher
     /** How one placement attempt ended. */
     enum class Outcome : std::uint8_t
     {
-        Placed,    ///< in a ring (possibly re-dispatched elsewhere)
+        Placed,    ///< in a ring or staged (possibly re-dispatched)
         Dropped,   ///< terminal, already counted by drop()
         NoTag,     ///< tag table full, nothing claimed
         RingFull,  ///< the ring rejected the push, tag released
         Evacuated, ///< evacuate() took the tag mid-push and owns it
+        Parked,    ///< staged, but the flush it filled parked work
     };
 
     /** Count one dropped request under @p why, and keep the
-     *  TenantTable's ledger: an admitted tenant request (@p client
-     *  with a tenant) is abandoned, returning its in-flight slot
-     *  exactly once. */
+     *  TenantTable's ledger: an admitted request (@p client given) is
+     *  abandoned, returning its in-flight slot exactly once. */
     void
     drop(DropReason why, const ClientRef *client = nullptr)
     {
         cDropped_[static_cast<std::size_t>(why)]->add();
-        if (cfg_.tenants && client && client->tenant != 0)
-            cfg_.tenants->abandoned(client->tenant);
+        if (client)
+            tenants_.abandoned(client->tenant);
+    }
+
+    /** @return whether VF @p t's requests wait in a class queue.
+     *  The default VF's never do: placed on arrival, dropped when no
+     *  ring takes them (the seed's UDP semantics). */
+    static bool parks(TenantId t) { return t != kDefaultVf; }
+
+    /**
+     * The one failure rule for an admitted request that found no tag
+     * or ring room: a registered VF's is parked at the head of its
+     * class (FIFO order kept) and the pick that served nothing is
+     * refunded, or the retry cadence aliases against the weight
+     * pattern and can starve a class (WrrPicker::unpick). The
+     * default VF's is dropped under @p why.
+     * @return whether the request was parked.
+     */
+    bool
+    parkOrDrop(Pending &p, DropReason why)
+    {
+        TenantId t = p.client.tenant;
+        if (!parks(t)) {
+            drop(why, &p.client);
+            return false;
+        }
+        classes_[t].push_front(std::move(p));
+        ++tenantPendingTotal_;
+        wrr_.unpick();
+        return true;
+    }
+
+    /** Route and claim() admitted request @p p; no live queue drops
+     *  it, no tag or ring room goes to parkOrDrop().
+     *  @return false when it was parked (the pump stops). */
+    sim::Co<bool>
+    deliver(sim::Core &core, Pending &p)
+    {
+        std::size_t qi = route(p.client.addr, p.client.dst);
+        if (qi == kNoQueue) {
+            drop(DropReason::NoLiveQueue, &p.client);
+            co_return true;
+        }
+        Outcome o = co_await claim(core, qi, p, /*stage=*/true);
+        if (o == Outcome::NoTag || o == Outcome::RingFull)
+            co_return !parkOrDrop(p, o == Outcome::NoTag
+                                         ? DropReason::NoTag
+                                         : DropReason::RingFull);
+        co_return o != Outcome::Parked;
     }
 
     /** The ClientRef of an ingress message: who to answer and the
@@ -453,52 +462,58 @@ class Dispatcher
         c.seq = msg.seq;
         c.sentAt = msg.sentAt;
         c.traceId = msg.traceId;
-        // Metadata copy only — without a TenantTable nobody ever
-        // reads it, so the seed path stays bit-identical.
         c.tenant = msg.tenant;
-        if (cfg_.tenants && msg.tenant != 0)
-            c.tenantGen = cfg_.tenants->generation(msg.tenant);
+        c.tenantGen = tenants_.generation(msg.tenant);
         return c;
     }
 
     /**
-     * Place one request on queue @p qi: claim a response tag, push,
-     * and on a failed push apply the one failure rule (pushFailed()).
-     * @p payload is left intact unless the request was re-dispatched,
-     * so a NoTag/RingFull caller may still park it.
+     * Claim queue @p qi for request @p p: allocate a response tag,
+     * then stage it for a coalesced flush (with @p stage, on a
+     * batching queue) or push it now, pushFailed() deciding a failed
+     * push. On NoTag/RingFull @p p is intact, so it may be parked.
      */
     sim::Co<Outcome>
-    place(sim::Core &core, std::size_t qi, net::Payload &payload,
-          const ClientRef &client)
+    claim(sim::Core &core, std::size_t qi, Pending &p, bool stage)
     {
         SnicMqueue &mq = *queues_[qi];
-        auto tag = mq.allocTag(client, payload);
+        auto tag = mq.allocTag(p.client, p.payload);
         if (!tag)
             co_return Outcome::NoTag;
-        if (co_await mq.rxPush(core, payload, *tag)) {
+        if (stage && mq.maxBatch() > 1) {
+            staged_[qi].push_back({std::move(p.payload), *tag});
+            ++stagedCount_;
+            if (staged_[qi].size() < mq.maxBatch())
+                co_return Outcome::Placed;
+            bool parked = co_await flushQueue(core, qi);
+            co_return parked ? Outcome::Parked : Outcome::Placed;
+        }
+        if (co_await mq.rxPush(core, p.payload, *tag)) {
             cDispatched_->add();
             co_return Outcome::Placed;
         }
-        co_return co_await pushFailed(core, qi, *tag, payload);
+        co_return co_await pushFailed(core, qi, *tag, p);
     }
 
     /**
-     * The post-push failure rule, shared by single and batched
-     * pushes: release the tag; if it was already gone, evacuate()
-     * owns the request; if the queue's transport died, re-dispatch
-     * to a surviving queue right away; otherwise the ring was full.
+     * The post-push rule, shared by single and batched pushes:
+     * release the tag; if it was already gone, evacuate() owns the
+     * request; if the queue's transport died, re-dispatch to a
+     * surviving queue right away; otherwise the ring was full (@p p
+     * gets the released client back).
      */
     sim::Co<Outcome>
     pushFailed(sim::Core &core, std::size_t qi, std::uint32_t tag,
-               net::Payload &payload)
+               Pending &p)
     {
         SnicMqueue &mq = *queues_[qi];
         auto c = mq.tryReleaseTag(tag);
         if (!c)
             co_return Outcome::Evacuated;
         if (mq.transportDead())
-            co_return co_await redispatch(core, std::move(payload),
+            co_return co_await redispatch(core, std::move(p.payload),
                                           std::move(*c));
+        p.client = std::move(*c);
         co_return Outcome::RingFull;
     }
 
@@ -512,45 +527,24 @@ class Dispatcher
     sim::Co<Outcome>
     redispatch(sim::Core &core, net::Payload payload, ClientRef client)
     {
+        Pending p{std::move(payload), std::move(client)};
         for (std::size_t tries = queues_.size(); tries > 0; --tries) {
-            std::size_t qi = route(client.addr, client.dst);
+            std::size_t qi = route(p.client.addr, p.client.dst);
             if (qi == kNoQueue)
                 break;
-            Outcome o = co_await place(core, qi, payload, client);
+            Outcome o = co_await claim(core, qi, p, /*stage=*/false);
             if (o != Outcome::NoTag && o != Outcome::RingFull)
                 co_return o;
             // That queue is full; try the next pick.
         }
-        drop(DropReason::NoLiveQueue, &client);
+        drop(DropReason::NoLiveQueue, &p.client);
         co_return Outcome::Dropped;
     }
 
-    sim::Co<void>
-    dispatchTenant(sim::Core &core, net::Message msg)
-    {
-        if (msg.size() > queues_[0]->layout().maxPayload()) {
-            drop(DropReason::Oversized);
-            co_return;
-        }
-        TenantId t = msg.tenant;
-        if (!cfg_.tenants->admit(t)) {
-            // Admission reject IS the SLA knob: an over-cap (or
-            // retired/unknown) tenant's arrival is refused with a
-            // counted drop reason, keeping "no silent loss".
-            drop(DropReason::TenantReject);
-            co_return;
-        }
-        if (classes_.size() < cfg_.tenants->idSpan())
-            classes_.resize(cfg_.tenants->idSpan());
-        ClientRef client = clientOf(msg);
-        classes_[t].push_back({std::move(msg.payload), std::move(client)});
-        ++tenantPendingTotal_;
-        co_await pumpTenants(core);
-        if (tenantPendingTotal_ != 0 && backlogHook_)
-            backlogHook_();
-    }
-
-    sim::Co<void>
+    /** Push queue @p qi's staged batch; what the ring refused goes
+     *  through pushFailed() and, on RingFull, parkOrDrop().
+     *  @return whether some request was parked. */
+    sim::Co<bool>
     flushQueue(sim::Core &core, std::size_t qi)
     {
         // Move the batch out before any suspension so a concurrent
@@ -566,12 +560,14 @@ class Dispatcher
             co_await queues_[qi]->rxPushBatch(core, items);
         cDispatched_->add(accepted);
         cBatchFlushes_->add();
+        bool parked = false;
         for (std::size_t j = accepted; j < batch.size(); ++j) {
-            if (co_await pushFailed(core, qi, batch[j].tag,
-                                    batch[j].payload) ==
+            Pending p{std::move(batch[j].payload), {}};
+            if (co_await pushFailed(core, qi, batch[j].tag, p) ==
                 Outcome::RingFull)
-                drop(DropReason::RingFull);
+                parked |= parkOrDrop(p, DropReason::RingFull);
         }
+        co_return parked;
     }
 
     static constexpr std::size_t kNoQueue =
@@ -632,12 +628,12 @@ class Dispatcher
         return kNoQueue;
     }
 
-    /** Occupancy gate of the untenanted admission path: sum in-flight
+    /** Occupancy gate of the default VF's admission: sum in-flight
      *  ring tags over the usable mqueues against their tag capacity.
      *  Pure arithmetic — no suspension — so enabling admission under
      *  uncongested load perturbs no timestamps. */
     bool
-    admitUntenanted() const
+    admitOccupancy() const
     {
         std::size_t used = 0;
         std::size_t cap = 0;
@@ -655,6 +651,7 @@ class Dispatcher
 
     std::string name_;
     DispatchPolicy policy_;
+    TenantTable &tenants_;
     DispatcherConfig cfg_;
     std::vector<SnicMqueue *> queues_;
     /** Failover exclusion flags (parallel to queues_). */
@@ -664,8 +661,8 @@ class Dispatcher
     std::size_t stagedCount_ = 0;
     std::size_t rr_ = 0;
 
-    /** Per-tenant class queues, indexed by tenant id (slot 0
-     *  unused); sized lazily against the TenantTable's id span. */
+    /** Per-tenant class queues, indexed by tenant id (the default
+     *  VF's unused); sized lazily against the TenantTable's id span. */
     std::vector<std::deque<Pending>> classes_;
     std::size_t tenantPendingTotal_ = 0;
     WrrPicker wrr_;

@@ -48,17 +48,12 @@
 
 namespace lynx::core {
 
-/** Failover knobs. Disabled by default: the seed configuration runs
- *  no monitor task and is bit-identical. Calibrated values live in
- *  lynx/calibration.hh. */
+/** Failover knobs. A Runtime runs a HealthMonitor per service iff its
+ *  mqueues have a retry policy (`mq.retry`, calibrated:
+ *  calibration::rdmaSwRetryPolicy()); without one (the seed) no
+ *  monitor runs. Calibrated values live in lynx/calibration.hh. */
 struct FailoverConfig
 {
-    /** Master switch: spawn a HealthMonitor per service and give
-     *  every mqueue the calibrated retry policy (unless one is
-     *  configured), which is what retains in-flight payloads and
-     *  tolerates stale tags. */
-    bool enabled = false;
-
     /** Sweep period of the health check. */
     sim::Tick checkInterval = sim::milliseconds(1);
 

@@ -68,14 +68,6 @@ struct ForwarderConfig
      *  a poll round. @pre pollBackoffMin <= pollBackoffMax. */
     sim::Tick pollBackoffMin = sim::nanoseconds(1000);
     sim::Tick pollBackoffMax = sim::nanoseconds(1000);
-
-    /** Tenant table (lynx/tenant.hh). Non-null adds the forward-path
-     *  half of the virtualization: batched TX drains are re-ordered
-     *  into weighted-round-robin traffic classes, responses record
-     *  per-tenant latency, and a retired tenant's responses are
-     *  dropped-and-counted (tag-namespace generation check) instead
-     *  of delivered stale. Null (default) = seed behaviour. */
-    TenantTable *tenants = nullptr;
 };
 
 /** @return the doorbell-to-discovery delay of a forwarder that made
@@ -95,12 +87,18 @@ class Forwarder
      * @param stack transport costs for client-facing responses.
      * @param backendStack transport costs for the persistent backend
      *        connections of client mqueues (§4.3).
+     * @param tenants VF ledger (lynx/tenant.hh): TX batches are
+     *        re-ordered into WRR traffic classes, each response
+     *        closes its request, and a retired tenant's responses are
+     *        dropped-and-counted, never delivered stale.
      */
     Forwarder(sim::Simulator &sim, std::string name, sim::Core &core,
               net::Nic &nic, net::StackProfile stack,
-              net::StackProfile backendStack, ForwarderConfig cfg)
+              net::StackProfile backendStack, TenantTable &tenants,
+              ForwarderConfig cfg)
         : sim_(sim), name_(std::move(name)), core_(core), nic_(nic),
-          stack_(stack), backendStack_(backendStack), cfg_(cfg),
+          stack_(stack), backendStack_(backendStack), tenants_(tenants),
+          cfg_(cfg),
           activity_(sim),
           cResponses_(&stats_.counter("responses")),
           cBackendRequests_(&stats_.counter("backend_requests")),
@@ -192,7 +190,7 @@ class Forwarder
                         break;
                     progress = true;
                     cBatchFetches_->add();
-                    if (cfg_.tenants && batch.size() > 1 &&
+                    if (batch.size() > 1 &&
                         e.mq->kind() == MqueueKind::Server)
                         orderByTenantClass(*e.mq, batch);
                     for (auto &txm : batch)
@@ -224,7 +222,7 @@ class Forwarder
      * tenants by weight (credit carried across batches in fwdWrr_,
      * so fairness holds over time, not just within one fetch) and
      * take each tenant's slots in their original FIFO order.
-     * Untenanted slots ride in class 0 with weight 1. Pure
+     * Default-VF slots ride in class 0 with weight 1. Pure
      * re-ordering — every slot is still forwarded (work-conserving),
      * only the egress order changes.
      */
@@ -235,7 +233,7 @@ class Forwarder
         bool mixed = false;
         for (const TxMessage &txm : batch) {
             const ClientRef *c = mq.peekTag(txm.tag);
-            TenantId t = c ? c->tenant : 0;
+            TenantId t = c ? c->tenant : kDefaultVf;
             if (!scratchTenant_.empty() && t != scratchTenant_.back())
                 mixed = true;
             scratchTenant_.push_back(t);
@@ -253,7 +251,7 @@ class Forwarder
                     for (std::size_t i = 0; i < batch.size(); ++i)
                         if (!scratchTaken_[i] &&
                             scratchTenant_[i] == cls)
-                            return cfg_.tenants->weight(
+                            return tenants_.weight(
                                 static_cast<TenantId>(cls));
                     return 0;
                 });
@@ -293,17 +291,13 @@ class Forwarder
                 co_return;
             }
             ClientRef &client = *c;
-            if (cfg_.tenants && client.tenant != 0) {
-                if (!cfg_.tenants->finish(client.tenant,
-                                          client.tenantGen,
-                                          sim_.now() - client.sentAt)) {
-                    // The tenant was retired while this request was
-                    // in flight: its slot drained (counted in the
-                    // table) but the response itself must never be
-                    // delivered stale.
-                    cTenantStale_->add();
-                    co_return;
-                }
+            if (!tenants_.finish(client.tenant, client.tenantGen,
+                                 sim_.now() - client.sentAt)) {
+                // The tenant was retired while this request was in
+                // flight: its slot drained (counted in the table) but
+                // the response itself must never be delivered stale.
+                cTenantStale_->add();
+                co_return;
             }
             out.tenant = client.tenant;
             out.src = net::Address{nic_.node(), e.servicePort};
@@ -340,6 +334,7 @@ class Forwarder
     net::Nic &nic_;
     net::StackProfile stack_;
     net::StackProfile backendStack_;
+    TenantTable &tenants_;
     ForwarderConfig cfg_;
     sim::Gate activity_;
     std::vector<Entry> queues_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "lynx/calibration.hh"
 #include "sim/span.hh"
 #include "sim/trace.hh"
 #include "workload/loadgen.hh"
@@ -10,21 +9,10 @@
 namespace lynx::core {
 
 Runtime::Runtime(sim::Simulator &sim, RuntimeConfig cfg)
-    : sim_(sim), cfg_(std::move(cfg))
+    : sim_(sim), cfg_(std::move(cfg)), tenants_(sim, cfg_.tenancy)
 {
     LYNX_FATAL_IF(cfg_.cores.empty(), "Lynx runtime needs worker cores");
     LYNX_FATAL_IF(!cfg_.nic, "Lynx runtime needs a NIC");
-    if (cfg_.failover.enabled && !cfg_.mq.retry.enabled()) {
-        // Failover needs the signalled-write/retry machinery: dead
-        // transports must be *detected*. The retry policy also makes
-        // every mqueue retain payloads and tolerate stale tags (a
-        // revived accelerator may answer drained requests). Respect
-        // an explicitly configured retry budget, otherwise install
-        // the calibrated one.
-        cfg_.mq.retry.maxRetries = calibration::rdmaSwRetryLimit;
-        cfg_.mq.retry.backoffBase = calibration::rdmaSwBackoffBase;
-        cfg_.mq.retry.backoffMax = calibration::rdmaSwBackoffMax;
-    }
     // Ring PFC comes from the congestion plane of the network the NIC
     // is attached to: a full RX ring pauses its pusher (backpressure
     // into the listeners/backend loops) instead of overflowing.
@@ -34,14 +22,10 @@ Runtime::Runtime(sim::Simulator &sim, RuntimeConfig cfg)
         cfg_.nic->network().congestionConfig();
     if (cc.enabled && cc.pfc.enabled)
         cfg_.mq.pfc = cc.pfc;
-    if (cfg_.tenancy.enabled) {
-        // One PF-side tenant table, shared by every dispatcher
-        // (admission + WRR classes), mqueue (ring-tag accounting)
-        // and forwarder (generation check, per-tenant latency).
-        tenants_ = std::make_unique<TenantTable>(sim_, cfg_.tenancy);
-        cfg_.mq.tenants = tenants_.get();
-        cfg_.forwarder.tenants = tenants_.get();
-    }
+    // One PF-side tenant table, shared by every dispatcher (admission
+    // + WRR classes), mqueue (ring-tag accounting) and forwarder
+    // (generation check, per-tenant latency).
+    cfg_.mq.tenants = &tenants_;
     sim_.metrics().add("lynx.runtime", stats_);
 }
 
@@ -77,7 +61,8 @@ Runtime::addAccelerator(const std::string &name, pcie::DeviceMemory &mem,
                 fwdCores.end());
     accels_.push_back(std::make_unique<AccelHandle>(
         sim_, name, mem, path, fwdCores, *cfg_.nic, cfg_.stack,
-        cfg_.backendStack.value_or(cfg_.stack), cfg_.forwarder));
+        cfg_.backendStack.value_or(cfg_.stack), tenants_,
+        cfg_.forwarder));
     return *accels_.back();
 }
 
@@ -87,9 +72,8 @@ Runtime::addService(ServiceConfig scfg)
     LYNX_ASSERT(!accels_.empty(), "no accelerators registered");
     net::Endpoint &ep = cfg_.nic->bind(scfg.proto, scfg.port);
     services_.push_back(std::make_unique<Service>(
-        scfg, ep,
-        DispatcherConfig{cfg_.dispatchCpu, tenants_.get(), cfg_.rss,
-                         cfg_.admission}));
+        scfg, ep, tenants_,
+        DispatcherConfig{cfg_.dispatchCpu, cfg_.rss, cfg_.admission}));
     Service &svc = *services_.back();
     // The Dispatcher itself carries no Simulator reference; its owner
     // registers the stats on its behalf (removed in ~Runtime).
@@ -165,7 +149,7 @@ Runtime::start()
         sim::spawn(sim_, backendLoop(b.ref, *b.ep, b.proto, nextCore()));
     for (auto &accel : accels_)
         accel->startForwarders();
-    if (cfg_.failover.enabled) {
+    if (cfg_.mq.retry.enabled()) {
         for (auto &svc : services_) {
             monitors_.push_back(std::make_unique<HealthMonitor>(
                 sim_, svc->config().name + ".monitor",
@@ -173,24 +157,21 @@ Runtime::start()
             monitors_.back()->start();
         }
     }
-    if (tenants_) {
-        for (auto &svc : services_) {
-            tenantGates_.push_back(
-                std::make_unique<sim::Gate>(sim_));
-            sim::Gate *gate = tenantGates_.back().get();
-            Dispatcher *d = &svc->dispatcher();
-            // Deferred work reopens the gate from two directions:
-            // the dispatcher left a backlog (couldn't place it), or
-            // table capacity freed (a completion/abandon/tag
-            // release) while a backlog exists.
-            d->setTenantBacklogHook([gate] { gate->open(); });
-            tenants_->onCapacityFreed([d, gate] {
-                if (d->hasTenantPending())
-                    gate->open();
-            });
-            sim::spawn(sim_,
-                       tenantDrainLoop(*svc, nextCore(), *gate));
-        }
+    // Drain tasks take their cores last and park without an event.
+    for (auto &svc : services_) {
+        tenantGates_.push_back(std::make_unique<sim::Gate>(sim_));
+        sim::Gate *gate = tenantGates_.back().get();
+        Dispatcher *d = &svc->dispatcher();
+        // Deferred work reopens the gate from two directions: the
+        // dispatcher left a backlog (couldn't place it), or table
+        // capacity freed (a completion/abandon/tag release) while a
+        // backlog exists.
+        d->setTenantBacklogHook([gate] { gate->open(); });
+        tenants_.onCapacityFreed([d, gate] {
+            if (d->hasTenantPending())
+                gate->open();
+        });
+        sim::spawn(sim_, tenantDrainLoop(*svc, nextCore(), *gate));
     }
 }
 
@@ -206,6 +187,10 @@ Runtime::tenantDrainLoop(Service &svc, sim::Core &core,
         if (cfg_.tenancy.drainDelay > 0)
             co_await sim::sleep(cfg_.tenancy.drainDelay);
         co_await svc.dispatcher().pumpTenants(core);
+        // What the pump staged on a batching queue goes out now: no
+        // listener flush point follows a drain.
+        if (svc.dispatcher().hasStaged())
+            co_await svc.dispatcher().flush(core);
         // Whatever is still deferred waits for the next capacity
         // hook; parking on the closed gate keeps the idle world
         // event-free (sim.run() terminates).

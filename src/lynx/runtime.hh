@@ -64,7 +64,7 @@ class AccelHandle
                 pcie::DeviceMemory &mem, rdma::RdmaPathModel path,
                 const std::vector<sim::Core *> &fwdCores, net::Nic &nic,
                 net::StackProfile stack, net::StackProfile backendStack,
-                ForwarderConfig fwdCfg)
+                TenantTable &tenants, ForwarderConfig fwdCfg)
         : name_(std::move(name)), mem_(mem),
           qp_(sim, name_ + ".qp", mem, path)
     {
@@ -72,7 +72,7 @@ class AccelHandle
         for (std::size_t i = 0; i < fwdCores.size(); ++i) {
             forwarders_.push_back(std::make_unique<Forwarder>(
                 sim, name_ + ".fwd" + std::to_string(i), *fwdCores[i],
-                nic, stack, backendStack, fwdCfg));
+                nic, stack, backendStack, tenants, fwdCfg));
         }
     }
 
@@ -145,9 +145,10 @@ struct ServiceConfig
 class Service
 {
   public:
-    Service(ServiceConfig cfg, net::Endpoint &ep, DispatcherConfig dcfg)
+    Service(ServiceConfig cfg, net::Endpoint &ep, TenantTable &tenants,
+            DispatcherConfig dcfg)
         : cfg_(cfg), ep_(ep),
-          dispatcher_(cfg.name + ".dispatch", cfg.policy, dcfg)
+          dispatcher_(cfg.name + ".dispatch", cfg.policy, tenants, dcfg)
     {}
 
     const ServiceConfig &config() const { return cfg_; }
@@ -237,19 +238,20 @@ struct RuntimeConfig
     /** Listener tasks per service (0 = one per worker core). */
     int listenersPerService = 0;
 
-    /** Fault-tolerance knobs. Enabling spawns a HealthMonitor per
-     *  service and (unless `mq.retry` is already configured) gives
-     *  every mqueue the calibrated software RDMA retry policy. The
-     *  retry policy is the one source of the rest of failover: a
-     *  queue with one retains in-flight payloads and drops stale-tag
-     *  responses. Off (default) = seed behaviour, bit-identical. */
+    /** Health-monitor knobs. A retry policy on `mq.retry` (e.g.
+     *  calibration::rdmaSwRetryPolicy()) is the one source of
+     *  failover: it detects dead transports, makes every mqueue
+     *  retain in-flight payloads and drop stale-tag responses, and
+     *  makes start() run a HealthMonitor per service. No policy
+     *  (default) = seed behaviour, bit-identical. */
     FailoverConfig failover;
 
     /** Multi-tenant virtualization of the dispatch plane
-     *  (lynx/tenant.hh). Enabling builds a TenantTable, wires it
-     *  into every dispatcher/mqueue/forwarder and spawns one
-     *  event-driven class-queue drain task per service. Off
-     *  (default) = seed behaviour, bit-identical. */
+     *  (lynx/tenant.hh): registration policy and drain hysteresis of
+     *  the Runtime's TenantTable, which every dispatcher, mqueue and
+     *  forwarder shares and in which untenanted traffic is the
+     *  default VF. Traffic of the default VF alone is seed
+     *  behaviour, bit-identical. */
     TenantConfig tenancy;
 
     /** RSS indirection-table shape shared by every service running
@@ -327,7 +329,7 @@ class Runtime
     }
 
     /** @return the per-service health monitors (empty unless
-     *  failover is enabled; populated by start()). */
+     *  `mq.retry` has a policy; populated by start()). */
     const std::vector<std::unique_ptr<HealthMonitor>> &monitors() const
     {
         return monitors_;
@@ -336,9 +338,9 @@ class Runtime
     /** @return the runtime's NIC. */
     net::Nic &nic() { return *cfg_.nic; }
 
-    /** @return the tenant table (null unless tenancy is enabled).
-     *  Scenario code registers/retires tenants through it. */
-    TenantTable *tenants() { return tenants_.get(); }
+    /** @return the tenant table. Scenario code registers/retires
+     *  tenants through it. */
+    TenantTable &tenants() { return tenants_; }
 
     sim::StatSet &stats() { return stats_; }
 
@@ -353,10 +355,11 @@ class Runtime
     sim::Task backendLoop(ClientQueueRef ref, net::Endpoint &ep,
                           net::Protocol proto, sim::Core &core);
 
-    /** Event-driven drain of one service's tenant class queues:
-     *  parks on @p gate (opened by the dispatcher's backlog hook and
-     *  the table's capacity-freed hooks) — never polls, so an idle
-     *  world schedules no events and sim.run() still terminates. */
+    /** Event-driven drain of one service's tenant class queues
+     *  (spawned for every service): parks on @p gate (opened by the
+     *  dispatcher's backlog hook and the table's capacity-freed
+     *  hooks) — never polls, so an idle world schedules no events
+     *  and sim.run() still terminates. */
     sim::Task tenantDrainLoop(Service &svc, sim::Core &core,
                               sim::Gate &gate);
 
@@ -366,11 +369,12 @@ class Runtime
     std::uint16_t nextEphemeralPort_ = 20000;
     bool started_ = false;
 
+    /** Declared before everything that holds a reference to it. */
+    TenantTable tenants_;
     std::vector<std::unique_ptr<AccelHandle>> accels_;
     std::vector<std::unique_ptr<Service>> services_;
     std::vector<std::unique_ptr<SnicMqueue>> mqueues_;
     std::vector<std::unique_ptr<HealthMonitor>> monitors_;
-    std::unique_ptr<TenantTable> tenants_;
     std::vector<std::unique_ptr<sim::Gate>> tenantGates_;
 
     struct BackendBinding

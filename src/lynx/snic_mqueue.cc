@@ -128,24 +128,33 @@ SnicMqueue::txFetch(sim::Core &core, std::uint64_t bytes)
     return signalled(core, [this, bytes] { return qp_.fetch(bytes); });
 }
 
-sim::Co<void>
-SnicMqueue::refreshRxCons(sim::Core &core)
+sim::Co<bool>
+SnicMqueue::readRxCons(sim::Core &core)
 {
     co_await core.exec(qp_.path().postCost);
     std::uint8_t buf[4];
     rdma::WcStatus st = co_await qp_.read(layout_.rxConsOff(), buf);
-    if (st != rdma::WcStatus::Ok) {
+    if (st != rdma::WcStatus::Ok)
+        co_return false;
+    std::uint32_t observed = static_cast<std::uint32_t>(buf[0]) |
+                             (static_cast<std::uint32_t>(buf[1]) << 8) |
+                             (static_cast<std::uint32_t>(buf[2]) << 16) |
+                             (static_cast<std::uint32_t>(buf[3]) << 24);
+    rxConsCache_ = advance(rxConsCache_, observed);
+    co_return true;
+}
+
+sim::Co<void>
+SnicMqueue::refreshRxCons(sim::Core &core)
+{
+    bool ok = co_await readRxCons(core);
+    if (!ok) {
         // The refresh is advisory (flow control): a failed read just
         // leaves the cache stale and conservative. No retry here —
         // a full-looking ring re-refreshes on the next push.
         cRdmaErrors_->add();
         co_return;
     }
-    std::uint32_t observed = static_cast<std::uint32_t>(buf[0]) |
-                             (static_cast<std::uint32_t>(buf[1]) << 8) |
-                             (static_cast<std::uint32_t>(buf[2]) << 16) |
-                             (static_cast<std::uint32_t>(buf[3]) << 24);
-    rxConsCache_ = advance(rxConsCache_, observed);
     cRxConsRefreshes_->add();
 }
 
@@ -435,7 +444,7 @@ SnicMqueue::allocTag(const ClientRef &client,
     if (hasRetryPolicy() && tags_[idx]->payload.empty())
         tags_[idx]->payload.assign(payload.begin(), payload.end());
     std::uint32_t tag = idx | (tagGen_[idx] << 16);
-    if (cfg_.tenants && client.tenant != 0)
+    if (cfg_.tenants)
         cfg_.tenants->noteTagAlloc(client.tenant);
     // Dispatcher picked this queue and claimed the tag: that is the
     // dispatch-enqueue hop. The accelerator side only sees the 32-bit
@@ -477,7 +486,7 @@ SnicMqueue::tryReleaseTag(std::uint32_t tag)
     freeTags_.push_back(idx);
     if (sim::SpanCollector *spans = sim_.spans())
         spans->unbindTag(&qp_.target(), layout_.base, tag);
-    if (cfg_.tenants && c.tenant != 0)
+    if (cfg_.tenants)
         cfg_.tenants->noteTagRelease(c.tenant);
     return c;
 }
@@ -535,16 +544,9 @@ sim::Co<bool>
 SnicMqueue::probeAlive(sim::Core &core)
 {
     cProbes_->add();
-    co_await core.exec(qp_.path().postCost);
-    std::uint8_t buf[4];
-    rdma::WcStatus st = co_await qp_.read(layout_.rxConsOff(), buf);
-    if (st != rdma::WcStatus::Ok)
+    bool ok = co_await readRxCons(core);
+    if (!ok)
         co_return false;
-    std::uint32_t observed = static_cast<std::uint32_t>(buf[0]) |
-                             (static_cast<std::uint32_t>(buf[1]) << 8) |
-                             (static_cast<std::uint32_t>(buf[2]) << 16) |
-                             (static_cast<std::uint32_t>(buf[3]) << 24);
-    rxConsCache_ = advance(rxConsCache_, observed);
     if (lostSlots_.empty())
         transportDead_ = false;
     co_return true;

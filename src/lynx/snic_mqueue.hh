@@ -96,9 +96,9 @@ struct SnicMqueueConfig
 
     /** Tenant table for per-tenant ring-tag accounting (mqueue
      *  quotas, lynx/tenant.hh): the allocTag/release paths notify it
-     *  so quotas stay balanced across failover requeues too. Null
-     *  (default) = untenanted, zero overhead. Set by the Runtime
-     *  when its TenantConfig is enabled. */
+     *  so quotas stay balanced across failover requeues too. The
+     *  Runtime always sets it; a stand-alone queue may leave it
+     *  null (no accounting). */
     TenantTable *tenants = nullptr;
 };
 
@@ -127,11 +127,11 @@ struct ClientRef
      *  the span. */
     std::uint64_t traceId = 0;
 
-    /** Owning tenant (0 = untenanted) and the tenant's tag-namespace
-     *  generation at dispatch time. The forwarder checks the
-     *  generation against the TenantTable before answering: a
-     *  retired tenant's responses are dropped-and-counted, never
-     *  delivered stale (lynx/tenant.hh). */
+    /** Owning tenant (0, the default VF, for untenanted traffic)
+     *  and its tag-namespace generation at dispatch time. The
+     *  forwarder checks the generation against the TenantTable
+     *  before answering: a retired tenant's responses are
+     *  dropped-and-counted, never delivered stale (lynx/tenant.hh). */
     std::uint16_t tenant = 0;
     std::uint16_t tenantGen = 0;
 
@@ -404,6 +404,9 @@ class SnicMqueue
      *  under the retry policy (when enabled). @return whether a fetch
      *  ultimately succeeded; false sets transportDead(). */
     sim::Co<bool> txFetch(sim::Core &core, std::uint64_t bytes);
+
+    /** Read rxCons into the consumer cache: @return whether it did. */
+    sim::Co<bool> readRxCons(sim::Core &core);
 
     /** Refresh the cached rxCons register over RDMA. */
     sim::Co<void> refreshRxCons(sim::Core &core);

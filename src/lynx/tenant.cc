@@ -14,6 +14,8 @@ TenantTable::TenantTable(sim::Simulator &sim, TenantConfig cfg)
       cAutoRegistered_(&stats_.counter("auto_registered"))
 {
     sim_.metrics().add("tenant.table", stats_);
+    // The default VF: weight 1, no admission cap, no mqueue quota.
+    registerVf(TenantQuota{});
 }
 
 TenantTable::~TenantTable()
@@ -26,8 +28,15 @@ TenantTable::~TenantTable()
 TenantId
 TenantTable::add(const TenantQuota &q)
 {
+    cAdded_->add();
+    return registerVf(q);
+}
+
+TenantId
+TenantTable::registerVf(const TenantQuota &q)
+{
     LYNX_ASSERT(q.weight >= 1, "tenant weight must be >= 1");
-    LYNX_ASSERT(vfs_.size() < 0xfffe, "tenant id space exhausted");
+    LYNX_ASSERT(vfs_.size() < 0xffff, "tenant id space exhausted");
     auto v = std::make_unique<Vf>();
     v->quota = q;
     // Resolve every hot-path handle now; admissions and completions
@@ -40,16 +49,16 @@ TenantTable::add(const TenantQuota &q)
     v->hInflight = &v->stats.histogram("inflight");
     v->hLatency = &v->stats.histogram("latency");
     vfs_.push_back(std::move(v));
-    TenantId id = static_cast<TenantId>(vfs_.size());
+    TenantId id = static_cast<TenantId>(vfs_.size() - 1);
     sim_.metrics().add("tenant." + std::to_string(id),
                        vfs_.back()->stats);
-    cAdded_->add();
     return id;
 }
 
 void
 TenantTable::retire(TenantId id)
 {
+    LYNX_ASSERT(id != kDefaultVf, "the default VF cannot be retired");
     if (!known(id) || !vf(id).active)
         return;
     Vf &v = vf(id);
@@ -66,11 +75,11 @@ bool
 TenantTable::admit(TenantId id)
 {
     if (!known(id)) {
-        if (!cfg_.autoRegister || id == 0)
+        if (!cfg_.autoRegister)
             return false; // nothing to count against: unknown VF
         // Ids arrive in arbitrary order; materialize the gap so the
         // id space stays dense (dispatcher class queues index by id).
-        while (vfs_.size() < id) {
+        while (vfs_.size() <= id) {
             add(cfg_.defaults);
             cAutoRegistered_->add();
         }
@@ -93,8 +102,6 @@ TenantTable::admit(TenantId id)
 void
 TenantTable::completed(TenantId id, sim::Tick latency)
 {
-    if (!known(id))
-        return;
     Vf &v = vf(id);
     LYNX_ASSERT(v.inFlight > 0, "tenant completion without admission");
     --v.inFlight;
@@ -105,8 +112,6 @@ TenantTable::completed(TenantId id, sim::Tick latency)
 bool
 TenantTable::finish(TenantId id, std::uint16_t gen, sim::Tick latency)
 {
-    if (!known(id))
-        return true; // untracked: deliver, nothing to account
     Vf &v = vf(id);
     if (v.gen == gen) {
         completed(id, latency);
@@ -124,8 +129,6 @@ TenantTable::finish(TenantId id, std::uint16_t gen, sim::Tick latency)
 void
 TenantTable::abandoned(TenantId id)
 {
-    if (!known(id))
-        return;
     Vf &v = vf(id);
     LYNX_ASSERT(v.inFlight > 0, "tenant abandon without admission");
     --v.inFlight;
@@ -136,15 +139,12 @@ TenantTable::abandoned(TenantId id)
 void
 TenantTable::noteTagAlloc(TenantId id)
 {
-    if (known(id))
-        ++vf(id).tagsHeld;
+    ++vf(id).tagsHeld;
 }
 
 void
 TenantTable::noteTagRelease(TenantId id)
 {
-    if (!known(id))
-        return;
     Vf &v = vf(id);
     LYNX_ASSERT(v.tagsHeld > 0, "tenant tag release without alloc");
     --v.tagsHeld;

@@ -17,15 +17,16 @@
  *    responses to the retired generation's requests are dropped and
  *    counted instead of delivered stale.
  *
+ * Every request belongs to some VF: untenanted traffic (tenant id 0)
+ * is the *default VF*'s, registered with the table (weight 1, no cap,
+ * no quota), never retired. Its one difference, kept by the
+ * dispatcher: its work never waits in a class queue, so it keeps the
+ * seed's timing bit for bit (tests/test_engine_golden.cc).
+ *
  * Per-tenant metrics register under `tenant.<id>` in the simulator's
  * MetricsRegistry; every hot-path handle (counters, histograms) is
  * resolved once at tenant registration — the per-message path does
  * no string building and no registry lookups.
- *
- * Everything is off by default behind TenantConfig: a Runtime with a
- * disabled config (or messages with tenant id 0) takes the exact
- * seed code path, bit-identical timestamps included
- * (tests/test_engine_golden.cc).
  */
 
 #ifndef LYNX_LYNX_TENANT_HH
@@ -45,9 +46,11 @@ class Simulator;
 
 namespace lynx::core {
 
-/** Tenant identity carried in net::Message::tenant; 0 = untenanted
- *  traffic, which always takes the unvirtualized path. */
+/** Tenant identity carried in net::Message::tenant. */
 using TenantId = std::uint16_t;
+
+/** The default VF: untenanted traffic (tenant id 0). */
+inline constexpr TenantId kDefaultVf = 0;
 
 /** Per-tenant resource envelope (the SLA knob). */
 struct TenantQuota
@@ -71,14 +74,9 @@ struct TenantQuota
     std::uint32_t mqueueQuota = 0;
 };
 
-/** Master switch + defaults for the multi-tenant dispatch plane. */
+/** Registration policy and defaults of the tenant VFs. */
 struct TenantConfig
 {
-    /** Master switch. Off (default): no TenantTable is built and
-     *  every message — whatever its tenant id — takes the seed
-     *  dispatch path, bit-identical timing included. */
-    bool enabled = false;
-
     /** Register unknown tenant ids on first sight with `defaults`
      *  (SR-IOV "VF pops into existence"). Off: unknown ids are
      *  rejected at admission. */
@@ -182,7 +180,8 @@ class WrrPicker
 /**
  * The PF-side tenant manager: registration/retirement, admission,
  * quota accounting and per-tenant metrics. One per Runtime, shared
- * by its dispatchers, mqueues and forwarders.
+ * by its dispatchers, mqueues and forwarders. Built with the default
+ * VF (kDefaultVf) already registered.
  */
 class TenantTable
 {
@@ -196,7 +195,7 @@ class TenantTable
     const TenantConfig &config() const { return cfg_; }
 
     /** Register the next tenant id with quota @p q.
-     *  @return the new id (sequential from 1). */
+     *  @return the new id (sequential from 1; 0 is the default VF). */
     TenantId add(const TenantQuota &q);
 
     /** Register with the config's default quota. */
@@ -204,14 +203,15 @@ class TenantTable
 
     /** Retire @p id: new arrivals are rejected, the tag-namespace
      *  generation is bumped so in-flight responses of the old
-     *  generation are dropped-and-counted, never delivered. */
+     *  generation are dropped-and-counted, never delivered.
+     *  @pre @p id is not the default VF. */
     void retire(TenantId id);
 
     /** @return one past the highest registered id (dense tables in
      *  the dispatcher size themselves off this). */
-    std::size_t idSpan() const { return vfs_.size() + 1; }
+    std::size_t idSpan() const { return vfs_.size(); }
 
-    bool known(TenantId id) const { return id >= 1 && id <= vfs_.size(); }
+    bool known(TenantId id) const { return id < vfs_.size(); }
     bool active(TenantId id) const { return known(id) && vf(id).active; }
 
     /** @return the current tag-namespace generation of @p id. */
@@ -331,8 +331,11 @@ class TenantTable
         sim::Histogram *hLatency = nullptr;
     };
 
-    Vf &vf(TenantId id) { return *vfs_[id - 1]; }
-    const Vf &vf(TenantId id) const { return *vfs_[id - 1]; }
+    /** Accounting calls name admitted (so registered) VFs only. */
+    Vf &vf(TenantId id) { return *vfs_.at(id); }
+    const Vf &vf(TenantId id) const { return *vfs_[id]; }
+
+    TenantId registerVf(const TenantQuota &q);
 
     void fireCapacityFreed();
 

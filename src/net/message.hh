@@ -73,10 +73,9 @@ struct Message
      *  serialization timing. */
     std::uint64_t traceId = 0;
 
-    /** Tenant id (lynx/tenant.hh); 0 = untenanted. Like `ce` this
-     *  lives in padding: not part of size(), never affects wire or
-     *  serialization time, and is ignored unless the receiving
-     *  runtime has a TenantTable enabled. */
+    /** Tenant id (lynx/tenant.hh); 0 = untenanted, the default VF.
+     *  Like `ce` this lives in padding: not part of size(), never
+     *  affects wire or serialization time. */
     std::uint16_t tenant = 0;
 
     Protocol proto = Protocol::Udp;

@@ -105,8 +105,8 @@ enum class WcStatus : std::uint8_t { Ok, Error };
  *  errors (the dispatcher's RX pushes, the forwarder's TX fetches).
  *  maxRetries = 0 disables the machinery entirely: callers keep the
  *  seed's posted-write fast path, bit-identical in timing. Defaults
- *  are generic; calibrated values live in lynx/calibration.hh and
- *  are applied by the Runtime when failover is enabled. */
+ *  are generic; the calibrated policy is
+ *  calibration::rdmaSwRetryPolicy() (lynx/calibration.hh). */
 struct RdmaRetryPolicy
 {
     /** Software re-attempts after a completion error (on top of the

@@ -61,7 +61,7 @@ class InnovaAfu
               const std::string &name, InnovaConfig cfg = {})
         : sim_(sim), name_(name), cfg_(cfg),
           nic_(network.addNic(name + ".nic", cfg.nic)),
-          afuEngine_(sim, name + ".afu", 0.0)
+          afuEngine_(sim, name + ".afu", 0.0), tenants_(sim, {})
     {}
 
     InnovaAfu(const InnovaAfu &) = delete;
@@ -113,7 +113,8 @@ class InnovaAfu
         fcfg.pollBackoffMax = cfg_.afuPerMessage;
         fcfg.scanPerQueue = 0;
         egress_ = std::make_unique<core::Forwarder>(
-            sim_, name_ + ".egress", afuEngine_, nic_, hw, hw, fcfg);
+            sim_, name_ + ".egress", afuEngine_, nic_, hw, hw, tenants_,
+            fcfg);
         for (auto *mq : queues)
             egress_->addQueue(mq, port);
         egress_->start();
@@ -151,10 +152,13 @@ class InnovaAfu
                     continue;
                 }
                 tag = *t;
+                tenants_.admit(core::kDefaultVf); // uncapped VF
             }
             bool ok = co_await mq.rxPush(afuEngine_, msg.payload, tag);
-            if (!ok && allocTags)
+            if (!ok && allocTags) {
                 mq.releaseTag(tag);
+                tenants_.abandoned(core::kDefaultVf);
+            }
             stats_.counter(ok ? "afu_delivered" : "afu_ring_full").add();
         }
     }
@@ -165,6 +169,8 @@ class InnovaAfu
     net::Nic &nic_;
     /** Zero-cost executor: hardware posting, not software. */
     sim::Core afuEngine_;
+    /** The echo service's VF ledger (all default-VF traffic). */
+    core::TenantTable tenants_;
     std::unique_ptr<core::Forwarder> egress_;
     sim::StatSet stats_;
 };

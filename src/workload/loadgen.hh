@@ -138,8 +138,7 @@ struct LoadGenConfig
     sim::Tick thinkTime = 0;
 
     /** Tenant id stamped on every request (lynx/tenant.hh); 0 =
-     *  untenanted. Pure metadata unless the serving runtime has a
-     *  TenantTable enabled. */
+     *  untenanted, the serving runtime's default VF. */
     std::uint16_t tenant = 0;
 
     std::uint64_t seed = 1;

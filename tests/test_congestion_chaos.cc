@@ -105,7 +105,7 @@ runChaos(std::uint64_t seed, double dropRate)
     nw.setFaultPlan(&plan);
 
     core::RuntimeConfig cfg = bf.lynxRuntimeConfig();
-    cfg.failover.enabled = true; // installs the sw RDMA retry budget
+    cfg.mq.retry = calibration::rdmaSwRetryPolicy(); // runs failover
     core::Runtime rt(s, cfg);
 
     rdma::RdmaPathModel lp;

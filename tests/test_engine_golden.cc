@@ -60,13 +60,12 @@ struct GoldenKnobs
     bool congestionOn = false;
 
     /** Pass a fully-populated TenantConfig (auto-registration,
-     *  weights, caps, quotas) with the master switch OFF, and stamp
-     *  a tenant id on every request: the contract is that the switch
-     *  alone decides, and a disabled tenancy config — even with
-     *  tenant ids on the wire — is bit-identical to the seed. */
-    bool tenancyOffExplicit = false;
+     *  weights, caps, quotas) while every request carries tenant id
+     *  0: the default VF's traffic is bit-identical to the seed,
+     *  whatever the registration policy says. */
+    bool tenancyDefaultVf = false;
 
-    /** Multi-tenant dispatch plane ON with generous quotas under the
+    /** One registered tenant per client, generous quotas, under the
      *  serial closed-loop load: every request now takes the
      *  class-queue + WRR placement path — pinned to its own
      *  golden. */
@@ -141,8 +140,7 @@ runFig8bScale(const GoldenKnobs &knobs)
         cfg.dispatchFlushLinger = 2_us;
         cfg.mq.maxBatch = 8;
     }
-    if (knobs.tenancyOffExplicit || knobs.tenancyOn) {
-        cfg.tenancy.enabled = knobs.tenancyOn;
+    if (knobs.tenancyDefaultVf || knobs.tenancyOn) {
         cfg.tenancy.autoRegister = true;
         cfg.tenancy.defaults.weight = 2;
         cfg.tenancy.defaults.maxInFlight = 64;
@@ -205,7 +203,7 @@ runFig8bScale(const GoldenKnobs &knobs)
                 int n = idx * 6 + round * 3 + i;
                 m.payload = workload::synthMnist(
                     n % 10, static_cast<std::uint64_t>(n));
-                if (knobs.tenancyOffExplicit || knobs.tenancyOn)
+                if (knobs.tenancyOn)
                     m.tenant = static_cast<std::uint16_t>(idx + 1);
                 co_await clientNic.send(std::move(m));
             }
@@ -348,7 +346,7 @@ TEST(EngineGolden, CongestionOnSerialLoadMatchesCongestionGolden)
 TEST(EngineGolden, DisabledTenancyConfigMatchesSeedTimestamps)
 {
     GoldenKnobs knobs;
-    knobs.tenancyOffExplicit = true;
+    knobs.tenancyDefaultVf = true;
     GoldenRun run = runFig8bScale(knobs);
     EXPECT_EQ(run.stamps, seedStamps());
 }
@@ -360,6 +358,18 @@ TEST(EngineGolden, TenancyOnSerialLoadMatchesTenancyGolden)
     GoldenRun run = runFig8bScale(knobs);
     printStamps("tenancy", run);
     EXPECT_EQ(run.stamps, seedStampsTenancy());
+}
+
+TEST(EngineGolden, TenancyOnBatchingMatchesSeedBatchedTimestamps)
+{
+    // Serial load never parks, so a registered tenant's request
+    // follows the default VF's timeline: staged and flushed with the
+    // same coalesced RX writes.
+    GoldenKnobs knobs;
+    knobs.tenancyOn = true;
+    knobs.batching = true;
+    GoldenRun run = runFig8bScale(knobs);
+    EXPECT_EQ(run.stamps, seedStampsBatched());
 }
 
 TEST(EngineGolden, BatchingPlusTracingMatchesSeedBatchedTimestamps)

@@ -91,7 +91,7 @@ runBatchedChaos(FaultKind kind, std::uint64_t seed)
     nw.setFaultPlan(&plan);
 
     core::RuntimeConfig cfg = bf.lynxRuntimeConfig();
-    cfg.failover.enabled = true;
+    cfg.mq.retry = calibration::rdmaSwRetryPolicy();
     cfg.mq.maxBatch = 8;
     cfg.dispatchFlushLinger = 30_us;
     cfg.forwarder.maxBatch = 8;

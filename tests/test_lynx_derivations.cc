@@ -4,9 +4,9 @@
  *
  *  - ring PFC comes from the congestion plane of the network the
  *    Runtime's NIC is attached to;
- *  - an mqueue's retry policy (installed by failover) is what makes
- *    its tag table retain payloads and its forwarder tolerate stale
- *    tags;
+ *  - an mqueue's retry policy is what makes its tag table retain
+ *    payloads and its forwarder tolerate stale tags, and a Runtime
+ *    whose mqueues have one runs a health monitor per service;
  *  - the forwarder's discovery delay is one band,
  *    clamp(idle/2, pollBackoffMin, pollBackoffMax), where equal ends
  *    are a fixed delay.
@@ -16,6 +16,7 @@
 
 #include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "lynx/calibration.hh"
@@ -122,7 +123,8 @@ std::uint64_t
 answerUnknownTag(bool retry, std::uint32_t tag)
 {
     QueueRig r(retry);
-    core::Forwarder fwd(r.s, "fwd", r.core, r.nic, {}, {},
+    core::TenantTable table(r.s, {});
+    core::Forwarder fwd(r.s, "fwd", r.core, r.nic, {}, {}, table,
                         core::ForwarderConfig{});
     fwd.addQueue(r.mq.get(), 7000);
     fwd.start();
@@ -192,8 +194,8 @@ TEST(PayloadRetention, DispatcherKeepsACopyIffTheQueueHasARetryPolicy)
     for (bool retry : {false, true}) {
         QueueRig r(retry);
         EXPECT_EQ(r.mq->hasRetryPolicy(), retry);
-        core::Dispatcher d("d", core::DispatchPolicy::RoundRobin,
-                           core::DispatcherConfig{});
+        core::TenantTable table(r.s, {});
+        core::Dispatcher d("d", core::DispatchPolicy::RoundRobin, table);
         d.addQueue(r.mq.get());
         auto driver = [&]() -> sim::Task {
             net::Message m;
@@ -213,6 +215,46 @@ TEST(PayloadRetention, DispatcherKeepsACopyIffTheQueueHasARetryPolicy)
                   retry ? payload : std::vector<std::uint8_t>{})
             << "retry policy " << retry;
     }
+}
+
+namespace {
+
+/** @return how many health monitors a started two-service Runtime
+ *  runs with retry policy @p retry on its mqueues. */
+std::size_t
+monitorsWithRetryPolicy(const rdma::RdmaRetryPolicy &retry)
+{
+    sim::Simulator s;
+    net::Network nw(s);
+    sim::Core core(s, "snic.0");
+    pcie::DeviceMemory mem("gpu0.mem", 1 << 20);
+    core::RuntimeConfig cfg;
+    cfg.cores = {&core};
+    cfg.nic = &nw.addNic("snic");
+    cfg.mq.retry = retry;
+    core::Runtime rt(s, cfg);
+    rt.addAccelerator("gpu0", mem, rdma::RdmaPathModel{});
+    for (std::uint16_t port : {7000, 7001}) {
+        core::ServiceConfig scfg;
+        scfg.name = "svc" + std::to_string(port);
+        scfg.port = port;
+        rt.addService(scfg);
+    }
+    rt.start();
+    return rt.monitors().size();
+}
+
+} // namespace
+
+TEST(FailoverFromRetryPolicy, RetryPolicyRunsOneMonitorPerService)
+{
+    EXPECT_EQ(monitorsWithRetryPolicy(calibration::rdmaSwRetryPolicy()),
+              2u);
+}
+
+TEST(FailoverFromRetryPolicy, NoRetryPolicyRunsNoMonitor)
+{
+    EXPECT_EQ(monitorsWithRetryPolicy({}), 0u);
 }
 
 TEST(DiscoveryBand, EqualEndsGiveTheFixedDelayForAnyIdleTime)
@@ -252,7 +294,8 @@ TEST(DiscoveryBand, InvertedBandAborts)
     inverted.pollBackoffMax = 1000;
     EXPECT_DEATH(
         {
-            core::Forwarder fwd(r.s, "fwd", r.core, r.nic, {}, {},
+            core::TenantTable table(r.s, {});
+            core::Forwarder fwd(r.s, "fwd", r.core, r.nic, {}, {}, table,
                                 inverted);
         },
         "inverted discovery band");

@@ -9,17 +9,22 @@
  *  - a push still retrying when a failover drain takes its tag
  *    belongs to the drain: requeued once, never also dropped or
  *    parked again;
- *  - every DropReason is registered under its documented path.
+ *  - every DropReason is registered under its documented path;
+ *  - a staged batch the ring refuses mid-flush goes through the one
+ *    failure rule: a registered VF parks, the default VF drops, and
+ *    every VF's ledger balances.
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "lynx/calibration.hh"
 #include "lynx/dispatcher.hh"
+#include "lynx/gio.hh"
 #include "lynx/runtime.hh"
 #include "lynx/snic_mqueue.hh"
 #include "lynx/tenant.hh"
@@ -62,12 +67,11 @@ request(std::uint16_t srcPort, core::TenantId tenant = 0,
     return m;
 }
 
-/** Tenancy on, unknown tenant ids refused (no auto-registration). */
+/** Unknown tenant ids refused (no auto-registration). */
 core::TenantConfig
 explicitTenants()
 {
     core::TenantConfig c;
-    c.enabled = true;
     c.autoRegister = false;
     return c;
 }
@@ -116,8 +120,7 @@ struct FailingRig
 TEST(DispatchOutcome, TransportFailureWithNoSurvivorCountsOneDrop)
 {
     FailingRig r;
-    core::Dispatcher d("d", core::DispatchPolicy::RoundRobin,
-                       core::DispatcherConfig{});
+    core::Dispatcher d("d", core::DispatchPolicy::RoundRobin, r.table);
     d.addQueue(r.mqs[0].get());
 
     auto driver = [&]() -> sim::Task {
@@ -142,8 +145,7 @@ TEST(DispatchOutcome, TransportFailureWithNoSurvivorCountsOneDrop)
 TEST(DispatchOutcome, EvacuationMidRetryOwnsTheRequest)
 {
     FailingRig r;
-    core::Dispatcher d("d", core::DispatchPolicy::RoundRobin,
-                       core::DispatcherConfig{});
+    core::Dispatcher d("d", core::DispatchPolicy::RoundRobin, r.table);
     d.addQueue(r.mqs[0].get());
     d.addQueue(r.mqs[1].get());
 
@@ -182,8 +184,7 @@ TEST(DispatchOutcome, EvacuationMidRetryOwnsTheTenantRequest)
 {
     FailingRig r(/*tenanted=*/true);
     core::TenantId t = r.table.add();
-    core::Dispatcher d("d", core::DispatchPolicy::RoundRobin,
-                       core::DispatcherConfig{.tenants = &r.table});
+    core::Dispatcher d("d", core::DispatchPolicy::RoundRobin, r.table);
     d.addQueue(r.mqs[0].get());
     d.addQueue(r.mqs[1].get());
 
@@ -232,7 +233,6 @@ TEST(DispatchOutcome, EveryDropReasonIsRegisteredUnderItsName)
     cfg.cores = {&snicCore};
     cfg.nic = &nic;
     cfg.stack = calibration::vmaXeon();
-    cfg.tenancy.enabled = true;
     cfg.tenancy.autoRegister = false;
     cfg.admission.enabled = true;
     core::Runtime rt(s, cfg);
@@ -243,11 +243,12 @@ TEST(DispatchOutcome, EveryDropReasonIsRegisteredUnderItsName)
     scfg.queuesPerAccel = 2;
     scfg.ringSlots = 4; // 8 tags per queue, 16 in all
     core::Dispatcher &d = rt.addService(scfg).dispatcher();
-    core::TenantId tenant = rt.tenants()->add();
+    core::TenantId tenant = rt.tenants().add();
     core::SnicMqueue &q0 = d.queueAt(0);
 
     auto driver = [&]() -> sim::Task {
-        // Oversized (routed to mq0 first: round robin starts there).
+        // Oversized: refused before routing, so round robin still
+        // starts at mq0.
         co_await d.dispatch(snicCore, request(40000, 0, 4096));
         // Tenant reject: an unregistered tenant id.
         co_await d.dispatch(snicCore, request(40000, 99));
@@ -256,8 +257,8 @@ TEST(DispatchOutcome, EveryDropReasonIsRegisteredUnderItsName)
         std::vector<std::uint32_t> held;
         while (auto tag = q0.allocTag(core::ClientRef{}))
             held.push_back(*tag);
-        co_await d.dispatch(snicCore, request(40000)); // mq1
         co_await d.dispatch(snicCore, request(40000)); // mq0: no tag
+        co_await d.dispatch(snicCore, request(40000)); // mq1
         for (std::uint32_t tag : held)
             q0.releaseTag(tag);
         // Transport: drain mq1's in-flight request without a retained
@@ -297,5 +298,82 @@ TEST(DispatchOutcome, EveryDropReasonIsRegisteredUnderItsName)
     auto shed = admission->counters().find("shed_ring_full");
     ASSERT_NE(shed, admission->counters().end());
     EXPECT_EQ(shed->second.value(), 1u);
-    EXPECT_EQ(rt.tenants()->inFlight(tenant), 0u);
+    EXPECT_EQ(rt.tenants().inFlight(tenant), 0u);
+}
+
+/** A staged batch that overflows its ring mid-flush: the refused
+ *  registered-VF request parks in its class and is delivered once the
+ *  accelerator drains the ring; the refused default-VF request is
+ *  dropped, counted once under dropped_ring_full and in the default
+ *  VF's `lost`. For every VF, admitted = completed + lost +
+ *  stale_dropped + in flight. */
+TEST(DispatchOutcome, RingFullMidFlushParksRegisteredVfDropsDefaultVf)
+{
+    sim::Simulator s;
+    pcie::DeviceMemory mem{"accel.mem", 1 << 20};
+    rdma::QueuePair qp{s, "qp", mem, rdma::RdmaPathModel{}};
+    sim::Core snicCore{s, "snic.0"};
+    core::TenantTable table(s, explicitTenants());
+    const core::TenantId vf = table.add();
+    core::SnicMqueueConfig mcfg;
+    mcfg.maxBatch = 8;
+    mcfg.tenants = &table;
+    const core::MqueueLayout layout{0, 4, 256}; // a 4-slot ring
+    core::SnicMqueue mq(s, "mq", qp, layout, core::MqueueKind::Server,
+                        mcfg);
+    core::AccelQueue gio(s, "gio", mem, layout);
+    core::Dispatcher d("d", core::DispatchPolicy::RoundRobin, table);
+    d.addQueue(&mq);
+
+    // Six staged arrivals, alternating VFs; the flush lands four and
+    // the ring refuses one request of each VF.
+    auto ingress = [&]() -> sim::Task {
+        for (int i = 0; i < 6; ++i)
+            co_await d.dispatch(snicCore,
+                                request(40000, i % 2 ? vf : core::kDefaultVf));
+        EXPECT_EQ(d.stats().counterValue("batch_flushes"), 0u);
+        co_await d.flush(snicCore);
+        EXPECT_EQ(d.tenantPending(), 1u);
+    };
+    std::vector<core::TenantId> served;
+    auto accelerator = [&]() -> sim::Task {
+        co_await sim::sleep(100_us); // the ring fills before it drains
+        while (served.size() < 5) {
+            core::GioMessage g = co_await gio.recv();
+            std::optional<core::ClientRef> c = mq.tryReleaseTag(g.tag);
+            if (!c) {
+                ADD_FAILURE() << "unknown tag " << g.tag;
+                co_return;
+            }
+            served.push_back(c->tenant);
+            // The forwarder's close of the request, and the
+            // Runtime's drain task.
+            table.finish(c->tenant, c->tenantGen, s.now() - c->sentAt);
+            co_await d.pumpTenants(snicCore);
+            co_await d.flush(snicCore);
+        }
+    };
+    sim::spawn(s, ingress());
+    sim::spawn(s, accelerator());
+    s.run();
+
+    EXPECT_EQ(served, (std::vector<core::TenantId>{core::kDefaultVf, vf,
+                                                   core::kDefaultVf, vf,
+                                                   vf}));
+    EXPECT_EQ(d.tenantPending(), 0u);
+    EXPECT_EQ(d.stats().counterValue("dropped_ring_full"), 1u);
+    EXPECT_EQ(totalDrops(d), 1u);
+    EXPECT_EQ(table.statsOf(core::kDefaultVf).counterValue("lost"), 1u);
+    EXPECT_EQ(table.statsOf(vf).counterValue("lost"), 0u);
+    for (core::TenantId id = 0; id < table.idSpan(); ++id) {
+        sim::StatSet &st = table.statsOf(id);
+        EXPECT_EQ(st.counterValue("admitted"),
+                  st.histogram("latency").count() +
+                      st.counterValue("lost") +
+                      st.counterValue("stale_dropped") +
+                      table.inFlight(id))
+            << "VF " << id;
+        EXPECT_EQ(table.inFlight(id), 0u) << "VF " << id;
+        EXPECT_EQ(table.tagsHeld(id), 0u) << "VF " << id;
+    }
 }

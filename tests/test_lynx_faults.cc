@@ -84,9 +84,9 @@ struct ChaosOutcome
 
 /**
  * One chaos run: a Bluefield Lynx echo service over one local and one
- * remote GPU, failover enabled, with @p kind faults at seed @p seed
- * active for the first 18 ms, then healed; a convergence client then
- * verifies the healed service end to end.
+ * remote GPU, failover on (calibrated retry policy), with @p kind
+ * faults at seed @p seed active for the first 18 ms, then healed; a
+ * convergence client then verifies the healed service end to end.
  */
 ChaosOutcome
 runChaos(FaultKind kind, std::uint64_t seed)
@@ -114,7 +114,7 @@ runChaos(FaultKind kind, std::uint64_t seed)
     nw.setFaultPlan(&plan);
 
     core::RuntimeConfig cfg = bf.lynxRuntimeConfig();
-    cfg.failover.enabled = true;
+    cfg.mq.retry = calibration::rdmaSwRetryPolicy();
     core::Runtime rt(s, cfg);
     rdma::RdmaPathModel lp;
     auto &hl = rt.addAccelerator("local", gpuL.memory(), lp);
@@ -509,7 +509,7 @@ TEST(LynxFailover, RemoteMachineDeathAndRevivalOnScaleout)
     nw.setFaultPlan(&plan);
 
     core::RuntimeConfig cfg = bf.lynxRuntimeConfig();
-    cfg.failover.enabled = true;
+    cfg.mq.retry = calibration::rdmaSwRetryPolicy();
     core::Runtime rt(s, cfg);
     rdma::RdmaPathModel lp;
     auto remote = lp.viaNetwork(calibration::rdmaRemoteExtraOneWay);

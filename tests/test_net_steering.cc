@@ -212,12 +212,11 @@ recordingWorker(core::AccelQueue &q, std::size_t qi,
     }
 }
 
-/** Tenancy on, unknown tenant ids refused (no auto-registration). */
+/** Unknown tenant ids refused (no auto-registration). */
 core::TenantConfig
 explicitTenants()
 {
     core::TenantConfig c;
-    c.enabled = true;
     c.autoRegister = false;
     return c;
 }
@@ -304,9 +303,9 @@ TEST(RssDispatch, DeadHomeQueueFallsBackAndIsCounted)
     rdma::QueuePair qp{s, "qp", mem, rdma::RdmaPathModel{}};
     sim::Core core{s, "snic.0"};
 
-    core::DispatcherConfig dcfg;
+    core::TenantTable table(s, {});
     core::Dispatcher disp("rss.dispatch", core::DispatchPolicy::Rss,
-                          dcfg);
+                          table);
     std::vector<std::unique_ptr<core::SnicMqueue>> mqs;
     for (int q = 0; q < 4; ++q) {
         core::MqueueLayout layout{
@@ -352,8 +351,9 @@ TEST(Admission, ShedsAtConfiguredOccupancyAndCountsEveryReject)
     core::DispatcherConfig dcfg;
     dcfg.admission.enabled = true;
     dcfg.admission.shedOccupancy = 0.25;
+    core::TenantTable table(s, {});
     core::Dispatcher disp("adm.dispatch",
-                          core::DispatchPolicy::RoundRobin, dcfg);
+                          core::DispatchPolicy::RoundRobin, table, dcfg);
     std::vector<std::unique_ptr<core::SnicMqueue>> mqs;
     for (int q = 0; q < 2; ++q) {
         // 4 ring slots -> 8 tag-table entries per queue: capacity 16.
@@ -398,9 +398,9 @@ TEST(Admission, DisabledLeavesTheSeedPathUntouched)
     rdma::QueuePair qp{s, "qp", mem, rdma::RdmaPathModel{}};
     sim::Core core{s, "snic.0"};
 
+    core::TenantTable table(s, {});
     core::Dispatcher disp("off.dispatch",
-                          core::DispatchPolicy::RoundRobin,
-                          core::DispatcherConfig{});
+                          core::DispatchPolicy::RoundRobin, table);
     core::MqueueLayout layout{0, 4, 256};
     core::SnicMqueue mq(s, "mq0", qp, layout, core::MqueueKind::Server,
                         core::SnicMqueueConfig{});
@@ -439,10 +439,8 @@ TEST(RssDispatch, TenantedFlowLandsOnItsHardwarePredictedQueue)
         s, explicitTenants());
     core::TenantId tenant = table.add();
 
-    core::DispatcherConfig dcfg;
-    dcfg.tenants = &table;
     core::Dispatcher disp("rss.dispatch", core::DispatchPolicy::Rss,
-                          dcfg);
+                          table);
     core::SnicMqueueConfig mcfg;
     mcfg.tenants = &table;
     std::vector<std::unique_ptr<core::SnicMqueue>> mqs;

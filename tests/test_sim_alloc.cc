@@ -22,8 +22,10 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <optional>
 #include <vector>
 
+#include "lynx/dispatcher.hh"
 #include "lynx/gio.hh"
 #include "lynx/snic_mqueue.hh"
 #include "lynx/tenant.hh"
@@ -406,7 +408,6 @@ TEST(AllocFreeHotPath, TenantAccountingHotPathDoesNotAllocate)
 #else
     sim::Simulator s;
     core::TenantConfig cfg;
-    cfg.enabled = true;
     cfg.autoRegister = false;
     core::TenantTable table(s, cfg);
     core::TenantQuota q;
@@ -437,6 +438,76 @@ TEST(AllocFreeHotPath, TenantAccountingHotPathDoesNotAllocate)
     EXPECT_EQ(g_allocCount - before, 0u)
         << "tenant accounting hot path allocated "
         << (g_allocCount - before) << " times over 512 cycles";
+#endif
+}
+
+/** Allocations in the measured window of @p kMeasuredRounds serial
+ *  requests on one ring, each consumed by the accelerator: pushed
+ *  through a Dispatcher as default-VF traffic, or claimed and pushed
+ *  bare (allocTag + rxPush of the same payload). */
+std::uint64_t
+ringPushWindowAllocs(bool viaDispatcher)
+{
+    sim::Simulator s;
+    pcie::DeviceMemory mem("accel.mem", 1 << 20);
+    rdma::QueuePair qp(s, "qp", mem, rdma::RdmaPathModel{});
+    sim::Core core(s, "snic.0");
+    core::TenantTable table(s, {});
+    core::SnicMqueueConfig mcfg;
+    mcfg.tenants = &table;
+    core::MqueueLayout layout{0, 16, 256};
+    core::SnicMqueue mq(s, "mq", qp, layout, core::MqueueKind::Server,
+                        mcfg);
+    core::AccelQueue gio(s, "gio", mem, layout);
+    core::Dispatcher d("d", core::DispatchPolicy::RoundRobin, table);
+    d.addQueue(&mq);
+
+    EchoProbe probe;
+    const std::vector<std::uint8_t> request(64, 0x42);
+    auto loop = [&]() -> sim::Task {
+        for (int i = 0; i < kWarmupRounds + kMeasuredRounds; ++i) {
+            if (i == kWarmupRounds)
+                probe.allocsAtWindowStart = g_allocCount;
+            net::Message m;
+            m.src = {3, 40000};
+            m.dst = {1, 7000};
+            m.payload = request;
+            if (viaDispatcher) {
+                co_await d.dispatch(core, std::move(m));
+            } else {
+                auto tag = mq.allocTag(core::ClientRef{}, m.payload);
+                co_await mq.rxPush(core, m.payload, *tag);
+            }
+            core::GioMessage g = co_await gio.recv();
+            std::optional<core::ClientRef> c = mq.tryReleaseTag(g.tag);
+            if (c && viaDispatcher)
+                table.finish(c->tenant, c->tenantGen, 1_us);
+            if (c && g.payload.size() == request.size())
+                ++probe.completed;
+        }
+        probe.allocsAtWindowEnd = g_allocCount;
+    };
+    sim::spawn(s, loop());
+    s.run();
+    EXPECT_EQ(probe.completed, kWarmupRounds + kMeasuredRounds);
+    return probe.allocsAtWindowEnd - probe.allocsAtWindowStart;
+}
+
+/** Default-VF traffic is placed on arrival: in steady state a
+ *  dispatch (admission, ledger, tag, push) allocates no more per
+ *  message than a bare allocTag + rxPush of the same payload, so no
+ *  class-queue node or other per-request record is created. */
+TEST(AllocFreeHotPath, DefaultTenantDispatchAddsNoAllocation)
+{
+#if defined(LYNX_POOL_PASSTHROUGH)
+    GTEST_SKIP() << "pool passthrough lane";
+#else
+    const std::uint64_t bare = ringPushWindowAllocs(false);
+    const std::uint64_t dispatched = ringPushWindowAllocs(true);
+    EXPECT_LE(dispatched, bare)
+        << "default-VF dispatch allocated " << dispatched
+        << " times over " << kMeasuredRounds << " requests, a bare "
+        << "push " << bare;
 #endif
 }
 

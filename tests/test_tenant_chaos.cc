@@ -152,8 +152,7 @@ runChaos(std::uint64_t seed, double dropRate)
     nw.setFaultPlan(&plan);
 
     core::RuntimeConfig cfg = bf.lynxRuntimeConfig();
-    cfg.failover.enabled = true; // sw RDMA retry budget + requeues
-    cfg.tenancy.enabled = true;
+    cfg.mq.retry = calibration::rdmaSwRetryPolicy(); // failover
     cfg.tenancy.autoRegister = true;
     cfg.tenancy.defaults.weight = 1;
     cfg.tenancy.defaults.maxInFlight = 64;
@@ -221,8 +220,8 @@ runChaos(std::uint64_t seed, double dropRate)
         co_await sim::sleep(kLateStart);
         late.start();
         co_await sim::sleep(kRetireAt - kLateStart);
-        rt.tenants()->retire(kRetiredA);
-        rt.tenants()->retire(kRetiredB);
+        rt.tenants().retire(kRetiredA);
+        rt.tenants().retire(kRetiredB);
     };
     sim::spawn(s, churn());
 
@@ -237,7 +236,7 @@ runChaos(std::uint64_t seed, double dropRate)
     out.ecnMarked = nw.ecnStats().counterValue("marked");
     out.faultDrops = nw.stats().counterValue("dropped_by_fault");
 
-    core::TenantTable &table = *rt.tenants();
+    core::TenantTable &table = rt.tenants();
     out.tenants.resize(table.idSpan());
     for (TenantId id = 1; id < table.idSpan(); ++id) {
         sim::StatSet &st = table.statsOf(id);

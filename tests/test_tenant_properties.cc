@@ -174,7 +174,6 @@ TEST(TenantTableProperties, AdmissionCapNeverExceeded)
         sim::Rng rng(seed);
         sim::Simulator s;
         TenantConfig cfg;
-        cfg.enabled = true;
         cfg.autoRegister = false;
         TenantTable table(s, cfg);
 
@@ -219,7 +218,6 @@ TEST(TenantTableProperties, AutoRegisterPolicyGovernsUnknownIds)
 {
     sim::Simulator s;
     TenantConfig off;
-    off.enabled = true;
     off.autoRegister = false;
     {
         TenantTable t(s, off);
@@ -227,7 +225,6 @@ TEST(TenantTableProperties, AutoRegisterPolicyGovernsUnknownIds)
         EXPECT_FALSE(t.known(3));
     }
     TenantConfig on;
-    on.enabled = true;
     on.autoRegister = true;
     on.defaults.weight = 5;
     TenantTable t(s, on);
@@ -249,7 +246,6 @@ TEST(TenantTableProperties, RetiredGenerationIsNeverDeliverable)
 {
     sim::Simulator s;
     TenantConfig cfg;
-    cfg.enabled = true;
     TenantTable table(s, cfg);
     TenantId id = table.add();
 
@@ -319,7 +315,6 @@ TEST(TenantDispatchProperties, MqueueQuotaNeverExceeded)
         sim::Rng rng(seed);
         Rig r;
         TenantConfig tcfg;
-        tcfg.enabled = true;
         tcfg.autoRegister = false;
         TenantTable table(r.s, tcfg);
         constexpr std::size_t kTenants = 3;
@@ -338,8 +333,7 @@ TEST(TenantDispatchProperties, MqueueQuotaNeverExceeded)
         mcfg.tenants = &table;
         SnicMqueue mq(r.s, "mq", r.qp, r.layout, MqueueKind::Server, mcfg);
         AccelQueue gio(r.s, "gio", r.mem, r.layout);
-        Dispatcher d("d", DispatchPolicy::RoundRobin,
-                     DispatcherConfig{.tenants = &table});
+        Dispatcher d("d", DispatchPolicy::RoundRobin, table);
         d.addQueue(&mq);
 
         // Random interleaving of each tenant's kPerTenant arrivals.
@@ -406,7 +400,6 @@ TEST(TenantDispatchProperties, DispatchOrderFollowsWeights)
 {
     Rig r;
     TenantConfig tcfg;
-    tcfg.enabled = true;
     tcfg.autoRegister = false;
     TenantTable table(r.s, tcfg);
     TenantQuota qa;
@@ -420,8 +413,7 @@ TEST(TenantDispatchProperties, DispatchOrderFollowsWeights)
     mcfg.tenants = &table;
     SnicMqueue mq(r.s, "mq", r.qp, r.layout, MqueueKind::Server, mcfg);
     AccelQueue gio(r.s, "gio", r.mem, r.layout);
-    Dispatcher d("d", DispatchPolicy::RoundRobin,
-                 DispatcherConfig{.tenants = &table});
+    Dispatcher d("d", DispatchPolicy::RoundRobin, table);
     d.addQueue(&mq);
 
     constexpr int kPerTenant = 24;
@@ -476,7 +468,6 @@ TEST(TenantDispatchProperties, WorkConservingWhenOnlyOneTenantHasWork)
 {
     Rig r;
     TenantConfig tcfg;
-    tcfg.enabled = true;
     tcfg.autoRegister = false;
     TenantTable table(r.s, tcfg);
     TenantQuota heavy;
@@ -490,8 +481,7 @@ TEST(TenantDispatchProperties, WorkConservingWhenOnlyOneTenantHasWork)
     mcfg.tenants = &table;
     SnicMqueue mq(r.s, "mq", r.qp, r.layout, MqueueKind::Server, mcfg);
     AccelQueue gio(r.s, "gio", r.mem, r.layout);
-    Dispatcher d("d", DispatchPolicy::RoundRobin,
-                 DispatcherConfig{.tenants = &table});
+    Dispatcher d("d", DispatchPolicy::RoundRobin, table);
     d.addQueue(&mq);
 
     constexpr int kMsgs = 20;
