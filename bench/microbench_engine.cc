@@ -256,9 +256,8 @@ hopLcg(std::uint64_t x)
 sim::Tick
 hopDelay(std::uint64_t rng)
 {
-    // 1 ns .. ~8 us: NIC/PCIe-scale latencies (levels 0-2 of the
-    // wheel), with enough spread to keep the replica's heap
-    // kHopDepth deep.
+    // 1 ns .. ~8 us: NIC/PCIe-scale latencies, with enough spread
+    // to keep both calendars kHopDepth deep.
     return 1 + static_cast<sim::Tick>((rng >> 33) % 8'192);
 }
 
@@ -267,7 +266,7 @@ hopDelay(std::uint64_t rng)
  *  exceed libstdc++'s small-object buffer, so every scheduled hop
  *  heap-allocates — the cost inline EventFn removed. Zero-delay
  *  wakeups are this heap's worst case (full-depth sift both ways)
- *  and the wheel's best (ready ring). */
+ *  and the engine's best (ready ring). */
 class LegacyCalendar
 {
   public:
@@ -325,16 +324,16 @@ struct LegacyMsg
     std::uint64_t traceId = 0; ///< zero-delay burst countdown
 };
 
-/** One hop server on the overhauled engine: timing wheel + ready
+/** One hop server on the overhauled engine: event calendar + ready
  *  ring, net::Message with pooled Payload moved hop to hop inside an
  *  inline EventFn capture, counters bumped through pointers resolved
  *  once — the nic.cc deliver/send idiom. Each delivery forwards the
  *  message through kHopBurst zero-delay hops (dispatcher staging /
  *  forwarder handoff shape) and then one timed hop. */
-class WheelHopServer
+class CalendarHopServer
 {
   public:
-    explicit WheelHopServer(std::uint64_t budget) : budget_(budget) {}
+    explicit CalendarHopServer(std::uint64_t budget) : budget_(budget) {}
 
     void
     step(net::Message msg)
@@ -466,7 +465,7 @@ bestOf(int reps, std::uint64_t budget)
     return best;
 }
 
-/** Minimum accepted wheel/legacy speedup: a full run fails when a
+/** Minimum accepted calendar/legacy speedup: a full run fails when a
  *  regression eats the engine overhaul's headline gain. The `--fast`
  *  smoke only reports it, since a wall-clock ratio taken on a loaded
  *  host (a parallel ctest) is not a deterministic check. */
@@ -481,25 +480,25 @@ runHeadline(bool fast, lynxbench::BenchJson &json)
     // Warm the payload/slab pools once so the measured runs see the
     // steady state (a long simulation's, not a cold process's).
     {
-        WheelHopServer warm(budget / 10);
+        CalendarHopServer warm(budget / 10);
         warm.run();
     }
 
-    double wheel = bestOf<WheelHopServer>(reps, budget);
+    double calendar = bestOf<CalendarHopServer>(reps, budget);
     double legacy = bestOf<LegacyHopServer>(reps, budget);
-    double ratio = wheel / legacy;
+    double ratio = calendar / legacy;
 
     std::printf("engine headline: steady-state message hops "
                 "(depth %zu, %llu events)\n",
                 kHopDepth, static_cast<unsigned long long>(budget));
-    std::printf("  %-22s %12.0f events/s\n", "timing wheel", wheel);
+    std::printf("  %-22s %12.0f events/s\n", "calendar", calendar);
     std::printf("  %-22s %12.0f events/s\n", "legacy heap+function",
                 legacy);
     std::printf("  %-22s %12.2fx\n", "speedup", ratio);
 
     json.addRow({{"metric", "events_per_sec"},
-                 {"engine", "timing_wheel"},
-                 {"value", wheel},
+                 {"engine", "calendar"},
+                 {"value", calendar},
                  {"depth", static_cast<std::uint64_t>(kHopDepth)},
                  {"events", budget}});
     json.addRow({{"metric", "events_per_sec"},
@@ -513,7 +512,7 @@ runHeadline(bool fast, lynxbench::BenchJson &json)
 
     if (ratio < kMinSpeedup) {
         std::fprintf(stderr,
-                     "%s: wheel/legacy speedup %.2fx below the "
+                     "%s: calendar/legacy speedup %.2fx below the "
                      "%.1fx floor\n",
                      fast ? "note" : "FAIL", ratio, kMinSpeedup);
         return fast ? 0 : 1;

@@ -193,9 +193,10 @@ class DeviceMemory
     void
     checkRange(std::uint64_t off, std::uint64_t len) const
     {
-        LYNX_ASSERT(off + len <= size_,
-                    "access [", off, ", ", off + len, ") out of bounds of ",
-                    name_, " (size ", size_, ")");
+        // Written so that no sum can wrap past 2^64.
+        LYNX_ASSERT(len <= size_ && off <= size_ - len,
+                    "access of ", len, " bytes at ", off,
+                    " out of bounds of ", name_, " (size ", size_, ")");
     }
 
     /**

@@ -2,24 +2,23 @@
  * @file
  * EventFn: the simulator's event callback type.
  *
- * A move-only callable wrapper sized for the event calendar's hot
- * path. Unlike std::function it (a) stores any callable up to
- * kInlineSize bytes inline — large enough for a routed net::Message
- * plus a destination pointer — so scheduling a typical event never
+ * A type-erased callable slot sized for the event calendar's hot path.
+ * Unlike std::function it (a) stores any callable up to kInlineSize
+ * bytes inline — large enough for a routed net::Message plus a
+ * destination pointer — so scheduling a typical event never
  * heap-allocates, and (b) spills oversize callables into the slab
  * Pool rather than the system allocator, so even those recycle.
  *
- * Dispatch goes through a per-type ops table (invoke / relocate /
- * destroy) instead of a virtual object, which keeps the wrapper
- * trivially movable when the payload is (relocate == memcpy).
+ * An EventFn never moves: the calendar builds each callable in place
+ * in a Pool block (emplace()), fires it there and recycles the
+ * block. Dispatch goes through a per-type ops table
+ * (invoke+destroy / destroy) instead of a virtual object.
  */
 
 #ifndef LYNX_SIM_EVENT_HH
 #define LYNX_SIM_EVENT_HH
 
-#include <coroutine>
 #include <cstddef>
-#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -28,7 +27,7 @@
 
 namespace lynx::sim {
 
-/** Move-only small-buffer-optimized event callback. */
+/** Small-buffer-optimized event callback, built and fired in place. */
 class EventFn
 {
   public:
@@ -45,10 +44,21 @@ class EventFn
 
     EventFn() = default;
 
+    EventFn(const EventFn &) = delete;
+    EventFn &operator=(const EventFn &) = delete;
+
+    /** Destroys a callable built but never fired. */
+    ~EventFn()
+    {
+        if (ops_)
+            ops_->destroy(buf_);
+    }
+
+    /** Build @p f in this (empty) slot. */
     template <typename F>
-        requires(!std::is_same_v<std::remove_cvref_t<F>, EventFn> &&
-                 std::is_invocable_r_v<void, std::remove_cvref_t<F> &>)
-    EventFn(F &&f) // NOLINT: implicit by design, mirrors std::function
+        requires std::is_invocable_r_v<void, std::remove_cvref_t<F> &>
+    void
+    emplace(F &&f)
     {
         using D = std::remove_cvref_t<F>;
         if constexpr (fitsInline<D>) {
@@ -62,35 +72,6 @@ class EventFn
         }
     }
 
-    /** Fast path for coroutine wakeups: no lambda, no capture. */
-    static EventFn
-    resume(std::coroutine_handle<> h)
-    {
-        EventFn fn;
-        ::new (static_cast<void *>(fn.buf_)) std::coroutine_handle<>(h);
-        fn.ops_ = &resumeOps;
-        return fn;
-    }
-
-    EventFn(EventFn &&o) noexcept { moveFrom(o); }
-
-    EventFn &
-    operator=(EventFn &&o) noexcept
-    {
-        if (this != &o) {
-            reset();
-            moveFrom(o);
-        }
-        return *this;
-    }
-
-    EventFn(const EventFn &) = delete;
-    EventFn &operator=(const EventFn &) = delete;
-
-    ~EventFn() { reset(); }
-
-    void operator()() { ops_->invoke(buf_); }
-
     /** Invoke, then destroy the callable — one dispatch instead of
      *  two on the calendar's fire path. Leaves *this empty. */
     void
@@ -101,45 +82,20 @@ class EventFn
         ops->invokeDestroy(buf_);
     }
 
-    explicit operator bool() const noexcept { return ops_ != nullptr; }
-
-    /** Destroy the stored callable (no-op when empty). */
-    void
-    reset() noexcept
-    {
-        if (ops_) {
-            ops_->destroy(buf_);
-            ops_ = nullptr;
-        }
-    }
-
   private:
     struct Ops
     {
-        void (*invoke)(void *self);
         /** Invoke + destroy fused (fire path). */
         void (*invokeDestroy)(void *self);
-        /** Move-construct dst from src, then destroy src. */
-        void (*relocate)(void *src, void *dst) noexcept;
         void (*destroy)(void *self) noexcept;
     };
 
     template <typename D>
     static constexpr Ops inlineOps = {
-        [](void *self) { (*std::launder(reinterpret_cast<D *>(self)))(); },
         [](void *self) {
             D *p = std::launder(reinterpret_cast<D *>(self));
             (*p)();
             p->~D();
-        },
-        [](void *src, void *dst) noexcept {
-            if constexpr (std::is_trivially_copyable_v<D>) {
-                std::memcpy(dst, src, sizeof(D));
-            } else {
-                D *s = std::launder(reinterpret_cast<D *>(src));
-                ::new (dst) D(std::move(*s));
-                s->~D();
-            }
         },
         [](void *self) noexcept {
             std::launder(reinterpret_cast<D *>(self))->~D();
@@ -148,15 +104,11 @@ class EventFn
 
     template <typename D>
     static constexpr Ops heapOps = {
-        [](void *self) { (**static_cast<D **>(self))(); },
         [](void *self) {
             D *p = *static_cast<D **>(self);
             (*p)();
             p->~D();
             Pool::instance().deallocate(p);
-        },
-        [](void *src, void *dst) noexcept {
-            std::memcpy(dst, src, sizeof(void *));
         },
         [](void *self) noexcept {
             D *p = *static_cast<D **>(self);
@@ -164,29 +116,6 @@ class EventFn
             Pool::instance().deallocate(p);
         },
     };
-
-    static constexpr Ops resumeOps = {
-        [](void *self) {
-            static_cast<std::coroutine_handle<> *>(self)->resume();
-        },
-        [](void *self) {
-            static_cast<std::coroutine_handle<> *>(self)->resume();
-        },
-        [](void *src, void *dst) noexcept {
-            std::memcpy(dst, src, sizeof(std::coroutine_handle<>));
-        },
-        [](void *) noexcept {},
-    };
-
-    void
-    moveFrom(EventFn &o) noexcept
-    {
-        ops_ = o.ops_;
-        if (ops_) {
-            ops_->relocate(o.buf_, buf_);
-            o.ops_ = nullptr;
-        }
-    }
 
     alignas(kAlign) unsigned char buf_[kInlineSize];
     const Ops *ops_ = nullptr;

@@ -4,7 +4,7 @@
  *
  * Steady-state simulation recycles the same handful of object shapes
  * millions of times: message payload buffers, coroutine frames, and
- * oversize event callables. Routing those through the global heap
+ * scheduled event callables. Routing those through the global heap
  * costs a malloc/free pair per object and scatters them across the
  * address space. The Pool instead carves large slabs into fixed-size
  * blocks per size class and keeps freed blocks on intrusive
@@ -120,9 +120,9 @@ class Pool
 
 /**
  * Minimal std::allocator replacement routing container storage
- * through the Pool. Used for long-lived hot-path containers (timing
- * wheel buckets) whose occasional growth must recycle pool blocks
- * instead of hitting the heap mid-run.
+ * through the Pool. Used for long-lived hot-path containers (the span
+ * collector's live-request tables) whose occasional growth must
+ * recycle pool blocks instead of hitting the heap mid-run.
  */
 template <typename T>
 struct PoolAllocator

@@ -11,20 +11,19 @@
  * (FIFO) order, and all randomness flows through seeded Rng instances,
  * so a scenario replays identically run-to-run.
  *
- * The calendar is a hierarchical timing wheel (see docs/INTERNALS.md):
- * five levels of 64 buckets each, covering ~1.07 simulated seconds of
- * horizon at nanosecond resolution, with a (when, seq) min-heap
- * catching farther-future events. Schedule and fire are O(1) on the
- * hot path, zero-delay wakeups bypass the wheel through a ready ring,
- * and callbacks are EventFn (inline small-buffer storage) so the
- * common event never heap-allocates. The execution order is exactly
- * the documented contract: globally ascending (when, scheduling seq).
+ * The calendar is one 4-ary implicit min-heap of 24-byte keys
+ * (when, seq, fn) plus a FIFO ready ring for zero-delay wakeups (see
+ * docs/INTERNALS.md §1). `fn` is a coroutine frame address, resumed
+ * directly, or the address of an EventFn in a Pool block (tagged in
+ * bit 0): the closure is built there once, in place, fired there and
+ * the block recycled. The execution order is exactly the documented
+ * contract: globally ascending (when, scheduling seq), with zero-delay
+ * wakeups made at now() after every heap entry due at now().
  */
 
 #ifndef LYNX_SIM_SIMULATOR_HH
 #define LYNX_SIM_SIMULATOR_HH
 
-#include <bit>
 #include <coroutine>
 #include <cstdint>
 #include <vector>
@@ -65,15 +64,10 @@ class Simulator
     void
     schedule(Tick when, F &&fn)
     {
-        LYNX_DEBUG_ASSERT(when >= now_, "scheduling into the past");
-        if (when <= now_) {
-            // Zero-delay fast path: build the callable directly in
-            // the ready-ring slot, skipping one EventFn relocation.
-            ready_.emplace_back(now_, nextSeq_++, std::forward<F>(fn));
-            ++pendingCount_;
-        } else {
-            scheduleEvent(when, EventFn(std::forward<F>(fn)));
-        }
+        auto *closure =
+            ::new (Pool::instance().allocate(sizeof(EventFn))) EventFn;
+        closure->emplace(std::forward<F>(fn));
+        enqueue(when, reinterpret_cast<std::uintptr_t>(closure) | 1);
     }
 
     /** Coroutine fast path: resume @p h at time @p when, no lambda. */
@@ -81,7 +75,10 @@ class Simulator
     void
     schedule(Tick when, std::coroutine_handle<P> h)
     {
-        scheduleEvent(when, EventFn::resume(h));
+        const auto frame = reinterpret_cast<std::uintptr_t>(h.address());
+        LYNX_DEBUG_ASSERT((frame & 1) == 0,
+                          "coroutine frame address has its low bit set");
+        enqueue(when, frame);
     }
 
     /** Schedule @p fn to run @p delay ticks from now. */
@@ -97,7 +94,7 @@ class Simulator
     void
     scheduleIn(Tick delay, std::coroutine_handle<P> h)
     {
-        scheduleEvent(now_ + delay, EventFn::resume(h));
+        schedule(now_ + delay, h);
     }
 
     /**
@@ -127,7 +124,11 @@ class Simulator
     std::uint64_t eventsExecuted() const { return eventsExecuted_; }
 
     /** Events currently scheduled but not yet fired. */
-    std::uint64_t pendingEvents() const { return pendingCount_; }
+    std::uint64_t
+    pendingEvents() const
+    {
+        return heap_.size() + ready_.size();
+    }
 
     /**
      * @{
@@ -177,78 +178,57 @@ class Simulator
     /** @} */
 
   private:
-    struct PendingEvent
+    /** One calendar entry. `fn` is a coroutine frame address or, with
+     *  bit 0 set, a Pool-held EventFn (both are 16-byte aligned, so
+     *  bit 0 is otherwise clear). */
+    struct Key
     {
         Tick when;
         std::uint64_t seq;
-        EventFn fn;
+        std::uintptr_t fn;
     };
 
-    /**
-     * Timing-wheel geometry: kLevels levels of 64 buckets; a level-L
-     * bucket spans 2^(6L) ticks. An event lives at the lowest level
-     * whose bucket span still distinguishes it from now(): the level
-     * of the highest bit in which `when` and `now` differ. Beyond the
-     * wheel horizon (2^30 ticks, ~1.07 s) events wait in a (when, seq)
-     * min-heap and cascade in when their top-level block arrives.
-     */
-    static constexpr int kLevelBits = 6;
-    static constexpr int kLevels = 5;
-    static constexpr std::size_t kBuckets = std::size_t(1) << kLevelBits;
-    static constexpr int kTopBits = kLevelBits * kLevels;
+    static bool
+    before(const Key &a, const Key &b)
+    {
+        return a.when != b.when ? a.when < b.when : a.seq < b.seq;
+    }
 
-    /** Bucket storage comes from the slab pool: a rarely-touched
-     *  high-level bucket growing mid-run recycles a warm pool block
-     *  instead of calling the heap from the event hot loop. */
-    using Bucket = std::vector<PendingEvent, PoolAllocator<PendingEvent>>;
+    static EventFn *
+    closureAt(std::uintptr_t fn)
+    {
+        return reinterpret_cast<EventFn *>(fn & ~std::uintptr_t(1));
+    }
 
     void
-    scheduleEvent(Tick when, EventFn fn)
+    enqueue(Tick when, std::uintptr_t fn)
     {
         LYNX_DEBUG_ASSERT(when >= now_, "scheduling into the past");
         if (when <= now_) {
             // Zero-delay wakeups (channel handoffs, doorbells) skip
-            // the wheel: FIFO ring, fired before the clock advances.
-            ready_.emplace_back(now_, nextSeq_++, std::move(fn));
-        } else {
-            place(PendingEvent{when, nextSeq_++, std::move(fn)});
-        }
-        ++pendingCount_;
-    }
-
-    /** File a future event into its wheel bucket (or the overflow). */
-    void
-    place(PendingEvent ev)
-    {
-        const Tick x = ev.when ^ now_;
-        // Highest differing bit picks the level; x == 0 only happens
-        // for cascaded events landing at exactly now().
-        const int hb = x ? 63 - std::countl_zero(x) : 0;
-        const int level = hb / kLevelBits;
-        if (level >= kLevels) {
-            pushOverflow(std::move(ev));
+            // the heap: FIFO ring, fired before the clock advances.
+            ready_.push_back(fn);
             return;
         }
-        const std::size_t idx =
-            (ev.when >> (kLevelBits * level)) & (kBuckets - 1);
-        wheel_[level][idx].push_back(std::move(ev));
-        occupied_[level] |= std::uint64_t(1) << idx;
+        // Sift up from a hole at the end.
+        std::size_t i = heap_.size();
+        heap_.emplace_back();
+        const Key k{when, nextSeq_++, fn};
+        while (i > 0) {
+            const std::size_t parent = (i - 1) / 4;
+            if (!before(k, heap_[parent]))
+                break;
+            heap_[i] = heap_[parent];
+            i = parent;
+        }
+        heap_[i] = k;
     }
 
-    void pushOverflow(PendingEvent ev);
-    bool advance(Tick deadline);
-    void collectBucket(std::size_t idx);
-    void cascade(int level, std::size_t idx);
-    void drainOverflow();
+    /** Destroy and free @p fn's closure unfired (teardown). */
+    static void dropClosure(std::uintptr_t fn);
+    std::uintptr_t popMin();
+    void fire(std::uintptr_t fn);
     void runLoop(Tick deadline);
-
-    void
-    fire(PendingEvent &e)
-    {
-        ++eventsExecuted_;
-        --pendingCount_;
-        e.fn.invokeAndReset();
-    }
 
     struct CoroEntry
     {
@@ -259,17 +239,11 @@ class Simulator
     Tick now_ = 0;
     std::uint64_t nextSeq_ = 0;
     std::uint64_t eventsExecuted_ = 0;
-    std::uint64_t pendingCount_ = 0;
     bool stopped_ = false;
     bool tearingDown_ = false;
 
-    Bucket wheel_[kLevels][kBuckets];
-    std::uint64_t occupied_[kLevels] = {};
-    Bucket overflow_; ///< (when, seq) min-heap
-    RingDeque<PendingEvent> ready_;      ///< events due at now()
-    Bucket exec_;                        ///< bucket being fired
-    std::size_t execPos_ = 0;
-    Bucket cascadeBuf_; ///< scratch for redistributing a bucket
+    std::vector<Key> heap_;           ///< 4-ary min-heap
+    RingDeque<std::uintptr_t> ready_; ///< due at now(), FIFO
 
     std::vector<CoroEntry> liveCoroutines_;
     MetricsRegistry metrics_;

@@ -73,6 +73,19 @@ TEST(DeviceMemoryDeath, OutOfBoundsAccessPanics)
     EXPECT_DEATH(mem.read(16, out), "out of bounds");
 }
 
+TEST(DeviceMemoryDeath, RangeCheckDoesNotWrapAroundTheAddressSpace)
+{
+    // off + len wraps to 2 here, which a plain `off + len <= size`
+    // check accepts.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    pcie::DeviceMemory mem("gpu0", 16);
+    const std::uint64_t off = UINT64_MAX - 1;
+    std::vector<std::uint8_t> out(4);
+    EXPECT_DEATH(mem.read(off, out), "out of bounds");
+    EXPECT_DEATH(mem.write(off, std::vector<std::uint8_t>(4, 0xab)),
+                 "out of bounds");
+}
+
 TEST(DeviceMemory, WatchpointFiresOnOverlappingWrite)
 {
     pcie::DeviceMemory mem("gpu0", 128);

@@ -2,12 +2,12 @@
  * @file
  * Allocation-count harness: proves the steady-state event hot path is
  * heap-allocation-free, so the alloc-free property of the engine
- * overhaul (timing wheel + EventFn + pooled payloads + pooled frames)
+ * overhaul (event calendar + EventFn + pooled payloads + pooled frames)
  * cannot silently regress.
  *
  * The global operator new/delete are replaced with counting wrappers.
  * An echo scenario (client NIC <-> echo server over the fabric) is
- * warmed up until every pool, ring and wheel bucket has its capacity,
+ * warmed up until every pool, ring and calendar array has its capacity,
  * then a measured window of round trips runs with the allocation
  * counter snapshotted on both sides. Steady state must perform ZERO
  * heap allocations — per event, per message, per coroutine frame.
@@ -508,6 +508,44 @@ TEST(AllocFreeHotPath, DefaultTenantDispatchAddsNoAllocation)
         << "default-VF dispatch allocated " << dispatched
         << " times over " << kMeasuredRounds << " requests, a bare "
         << "push " << bare;
+#endif
+}
+
+TEST(AllocFreeHotPath, ClosureBlocksAreReusedInSteadyState)
+{
+#if defined(LYNX_POOL_PASSTHROUGH)
+    GTEST_SKIP() << "pool passthrough lane";
+#else
+    // 300 closure chains, each link rescheduling the next at zero
+    // delay or in the future. Once the pool, the heap and the ready
+    // ring have grown to the chains' width, fired closures' blocks
+    // are reused and scheduling allocates nothing.
+    sim::Simulator s;
+    constexpr int kChains = 300;
+    constexpr std::uint64_t kWarmup = 50'000;
+    constexpr std::uint64_t kMeasured = 200'000;
+    struct Link
+    {
+        static void
+        arm(sim::Simulator &s, std::uint64_t n, std::uint64_t budget)
+        {
+            if (n >= budget)
+                return;
+            s.scheduleIn(n % 3 == 0 ? 0 : 1 + n % 97,
+                         [&s, n, budget] { arm(s, n + kChains, budget); });
+        }
+    };
+    for (std::uint64_t i = 0; i < kChains; ++i)
+        Link::arm(s, i, kWarmup);
+    s.run();
+    const std::uint64_t allocsAtWindowStart = g_allocCount;
+    for (std::uint64_t i = 0; i < kChains; ++i)
+        Link::arm(s, kWarmup + i, kWarmup + kMeasured);
+    s.run();
+    EXPECT_EQ(s.eventsExecuted(), kWarmup + kMeasured);
+    EXPECT_EQ(g_allocCount - allocsAtWindowStart, 0u)
+        << "steady closure scheduling allocated "
+        << (g_allocCount - allocsAtWindowStart) << " times";
 #endif
 }
 

@@ -1,19 +1,27 @@
 /**
  * @file
- * Property tests for the timing-wheel calendar.
+ * Black-box order tests for the event calendar, plus closure storage.
  *
  * The reference model is the engine's documented contract itself: all
- * events fire in globally ascending (when, scheduling-seq) order. A
- * randomized scheduler front-end drives the wheel through every
- * placement path — level-0 direct hits, multi-level cascades, the
- * far-future overflow heap, the zero-delay ready ring, and events
- * scheduled from inside running events — and checks the observed
- * execution order against a sorted reference trace.
+ * events fire in globally ascending (when, scheduling-seq) order, and
+ * zero-delay wakeups made at now() fire FIFO after every event already
+ * due at now(). A randomized scheduler front-end drives the calendar
+ * with dense equal timestamps, wide and far-future deltas, zero-delay
+ * wakeups, runUntil() parks and events scheduled from inside running
+ * events, and checks the observed execution order against a sorted
+ * reference trace. (The `TimingWheel` suite keeps the name of the
+ * calendar it was written against; the shapes that once stressed that
+ * wheel's cascades and park repair stay as order tests.)
+ *
+ * The ClosureStorage tests cover where scheduled closures live: Pool
+ * blocks that stay put while a running closure schedules thousands
+ * more, and teardown that destroys each pending closure exactly once.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -336,6 +344,123 @@ TEST(TimingWheel, PendingEventCountTracksCalendar)
     s.run();
     EXPECT_EQ(s.pendingEvents(), 0u);
     EXPECT_EQ(s.eventsExecuted(), 4u);
+}
+
+TEST(ClosureStorage, ClosureSchedulingThousandsFromItsOwnBodyKeepsItsCaptures)
+{
+    // The parent schedules 1,000 children, zero-delay and future, from
+    // inside its own invocation, while the parent's own block is
+    // live. Each child fills a whole inline EventFn, so a child built
+    // over the parent would clobber the parent's captures. They must still read back intact, and the
+    // children fire in (when, seq) order.
+    struct Ctx
+    {
+        Simulator s;
+        sim::Rng rng{11};
+        std::vector<Obs> fired;
+        std::vector<Obs> expected;
+        std::uint64_t nextId = 0;
+        bool capturesIntact = false;
+
+        void
+        child(Tick delta)
+        {
+            const std::uint64_t id = nextId++;
+            expected.push_back({s.now() + delta, id});
+            std::array<std::uint64_t, 7> fill;
+            fill.fill(~id);
+            s.scheduleIn(delta, [this, id, fill] {
+                fired.push_back({s.now(), fill[6] == ~id ? id : ~id});
+            });
+        }
+    } ctx;
+    using Pattern = std::array<std::uint64_t, 8>;
+    const Pattern pattern = {
+        0x0123456789abcdefull, 0xfedcba9876543210ull, 0x5555aaaa5555aaaaull,
+        0xdeadbeefcafef00dull, 0x0f0f0f0f0f0f0f0full, 0x1122334455667788ull,
+        0x8877665544332211ull, 0xa5a5a5a5a5a5a5a5ull};
+    static_assert(sizeof(Pattern) + sizeof(Ctx *) <=
+                  sim::EventFn::kInlineSize);
+    ctx.s.schedule(100, [pattern, c = &ctx] {
+        for (int i = 0; i < 1000; ++i)
+            c->child(i % 2 == 0 ? 0 : 1 + c->rng.below(5000));
+        c->capturesIntact = pattern == Pattern{
+            0x0123456789abcdefull, 0xfedcba9876543210ull,
+            0x5555aaaa5555aaaaull, 0xdeadbeefcafef00dull,
+            0x0f0f0f0f0f0f0f0full, 0x1122334455667788ull,
+            0x8877665544332211ull, 0xa5a5a5a5a5a5a5a5ull};
+    });
+    // A sibling due at the parent's tick, scheduled after it: it must
+    // fire before every zero-delay child the parent makes.
+    const std::uint64_t siblingId = 1u << 20;
+    ctx.s.schedule(100, [c = &ctx, siblingId] {
+        c->fired.push_back({c->s.now(), siblingId});
+    });
+    ctx.s.run();
+
+    EXPECT_TRUE(ctx.capturesIntact);
+    ctx.expected.insert(ctx.expected.begin(), Obs{100, siblingId});
+    std::stable_sort(ctx.expected.begin(), ctx.expected.end(),
+                     [](const Obs &a, const Obs &b) {
+                         return a.when < b.when;
+                     });
+    EXPECT_EQ(ctx.fired, ctx.expected);
+    EXPECT_EQ(ctx.s.pendingEvents(), 0u);
+}
+
+/** Counts destructions of the one live copy (moved-from copies do not
+ *  count), so the count is exactly "closures destroyed". */
+struct DestroyProbe
+{
+    int *destroyed;
+    bool live = true;
+
+    explicit DestroyProbe(int *d) : destroyed(d) {}
+    DestroyProbe(const DestroyProbe &o) : destroyed(o.destroyed) {}
+    DestroyProbe(DestroyProbe &&o) noexcept
+        : destroyed(o.destroyed), live(std::exchange(o.live, false))
+    {}
+    ~DestroyProbe()
+    {
+        if (live)
+            ++*destroyed;
+    }
+};
+
+TEST(ClosureStorage, TeardownDestroysEachPendingClosureOnce)
+{
+    int destroyed = 0;
+    int ran = 0;
+    {
+        Simulator s;
+        // Fired closures: destroyed once, right after they run.
+        for (int i = 0; i < 5; ++i)
+            s.schedule(10, [&ran, p = DestroyProbe(&destroyed)] { ++ran; });
+        // Pending in the heap at teardown, inline and pool-spilled.
+        for (int i = 0; i < 7; ++i)
+            s.schedule(1000, [&ran, p = DestroyProbe(&destroyed)] { ++ran; });
+        std::array<std::uint64_t, 16> big{}; // spills to the pool
+        for (int i = 0; i < 2; ++i)
+            s.schedule(2000, [&ran, p = DestroyProbe(&destroyed), big] {
+                ran += static_cast<int>(big[0]);
+            });
+        // Pending in the ready ring at teardown: a closure at t=20
+        // leaves three zero-delay wakeups and stops the run.
+        s.schedule(20, [&s, &ran, p = DestroyProbe(&destroyed)] {
+            ++ran;
+            for (int i = 0; i < 3; ++i)
+                s.scheduleIn(0, [&ran, q = DestroyProbe(p.destroyed)] {
+                    ++ran;
+                });
+            s.stop();
+        });
+        s.run();
+        EXPECT_EQ(ran, 6);
+        EXPECT_EQ(destroyed, 6);
+        EXPECT_EQ(s.pendingEvents(), 12u);
+    }
+    EXPECT_EQ(ran, 6);
+    EXPECT_EQ(destroyed, 18);
 }
 
 } // namespace
