@@ -15,9 +15,11 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <initializer_list>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -98,6 +100,86 @@ banner(const char *id, const char *title, const char *paperClaim)
     std::printf("paper: %s\n", paperClaim);
     std::printf("---------------------------------------------------"
                 "-------------------------\n");
+}
+
+/** The flags a bench was given (see parseArgs()). */
+struct BenchArgs
+{
+    /** (accepted flag, value) per argument, in command-line order;
+     *  the value is empty for a switch. */
+    std::vector<std::pair<std::string_view, std::string_view>> given;
+
+    /** @return whether @p flag was given. */
+    bool
+    has(std::string_view flag) const
+    {
+        for (const auto &[f, v] : given)
+            if (f == flag)
+                return true;
+        return false;
+    }
+
+    /** @return the value of the last "@p flag VALUE" ("" if absent). */
+    std::string
+    value(std::string_view flag) const
+    {
+        std::string out;
+        for (const auto &[f, v] : given)
+            if (f == flag)
+                out = v;
+        return out;
+    }
+};
+
+/**
+ * Check a bench's command line against the flags it @p accepted. A
+ * flag listed with a trailing '=' ("--trace-out=") takes its value in
+ * the same argument; the others are switches. Any other argument
+ * prints usage and exits with status 2, so a mistyped flag cannot
+ * silently run the full sweep. Arguments that start with
+ * @p passPrefix are kept in argv, and argc shrinks to them, for
+ * another parser (google-benchmark's "--benchmark_").
+ */
+inline BenchArgs
+parseArgs(int &argc, char **argv,
+          std::initializer_list<std::string_view> accepted,
+          std::string_view passPrefix = {})
+{
+    BenchArgs args;
+    int kept = 1;
+    for (int i = 1; i < argc; ++i) {
+        const std::string_view arg = argv[i];
+        if (!passPrefix.empty() && arg.starts_with(passPrefix)) {
+            argv[kept++] = argv[i];
+            continue;
+        }
+        bool known = false;
+        for (std::string_view flag : accepted) {
+            if (flag.ends_with('=') ? arg.starts_with(flag) : arg == flag) {
+                args.given.emplace_back(
+                    flag, flag.ends_with('=') ? arg.substr(flag.size())
+                                              : std::string_view{});
+                known = true;
+                break;
+            }
+        }
+        if (known)
+            continue;
+        std::fprintf(stderr, "%s: unknown argument '%s'\nusage: %s",
+                     argv[0], argv[i], argv[0]);
+        for (std::string_view flag : accepted)
+            std::fprintf(stderr, " [%.*s%s]", static_cast<int>(flag.size()),
+                         flag.data(), flag.ends_with('=') ? "VALUE" : "");
+        if (!passPrefix.empty())
+            std::fprintf(stderr, " [%.*s...]",
+                         static_cast<int>(passPrefix.size()),
+                         passPrefix.data());
+        std::fprintf(stderr, "\n");
+        std::exit(2);
+    }
+    argc = kept;
+    argv[kept] = nullptr;
+    return args;
 }
 
 /**

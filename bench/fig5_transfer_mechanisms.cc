@@ -99,8 +99,9 @@ measure(Mech data, Mech control, std::uint64_t payload)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    parseArgs(argc, argv, {});
     banner("fig5", "mqueue management mechanisms, speedup relative to "
                    "cudaMemcpyAsync for data+control",
            "RDMA performs better than any other mechanism, in "

@@ -12,7 +12,6 @@
  * one cell per platform for CI smoke use.
  */
 
-#include <cstring>
 
 #include "common.hh"
 
@@ -35,7 +34,7 @@ measure(Platform p, int mqueues, sim::Tick procTime)
 int
 main(int argc, char **argv)
 {
-    bool fast = argc > 1 && std::strcmp(argv[1], "--fast") == 0;
+    const bool fast = parseArgs(argc, argv, {"--fast"}).has("--fast");
 
     banner("fig6", "throughput speedup over the host-centric baseline",
            "Lynx-on-Bluefield up to 15.3x for short requests with many "

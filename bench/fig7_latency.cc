@@ -26,8 +26,9 @@ measure(Platform p, int mqueues, sim::Tick procTime)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    parseArgs(argc, argv, {});
     banner("fig7", "latency of Lynx on Bluefield relative to Lynx on "
                    "the host CPU",
            "shorter requests are slower on Bluefield; the difference "

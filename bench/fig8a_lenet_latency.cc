@@ -112,8 +112,9 @@ measure(Platform platform, net::Protocol proto)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    parseArgs(argc, argv, {});
     banner("fig8a", "LeNet inference service: throughput and latency "
                     "distribution at max throughput",
            "UDP: Lynx 3.5 Kreq/s on both Bluefield and Xeon vs "

@@ -153,8 +153,9 @@ latencyDelta()
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    parseArgs(argc, argv, {});
     banner("fig8b", "scaleout to remote GPUs (K80s across 3 machines)",
            "throughput scales linearly with the number of GPUs, "
            "regardless whether remote or local (~3300 req/s per K80); "

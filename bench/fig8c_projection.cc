@@ -100,8 +100,9 @@ measure(bool bluefield, net::Protocol proto, int nGpus)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    parseArgs(argc, argv, {});
     banner("fig8c", "multi-GPU scalability projection (emulated LeNet "
                     "GPUs, one mqueue each)",
            "linear until Lynx saturates: UDP ~102 GPUs on Bluefield "

@@ -77,8 +77,9 @@ runKvInstance(sim::Simulator &s, net::Network &nw, net::Nic &serverNic,
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    parseArgs(argc, argv, {});
     banner("fig9", "memcached placement: Bluefield vs host cores, "
                    "co-located with the Lynx LeNet service",
            "Bluefield: 400 Ktps but ~160 us p99; a Xeon core: "

@@ -9,7 +9,6 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
-#include <cstring>
 #include <functional>
 #include <queue>
 
@@ -525,16 +524,10 @@ runHeadline(bool fast, lynxbench::BenchJson &json)
 int
 main(int argc, char **argv)
 {
-    bool fast = false;
-    int outc = 0;
-    for (int i = 0; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--fast") == 0) {
-            fast = true;
-            continue; // strip: google-benchmark rejects unknown flags
-        }
-        argv[outc++] = argv[i];
-    }
-    argc = outc;
+    // google-benchmark's own flags pass through to Initialize().
+    const bool fast =
+        lynxbench::parseArgs(argc, argv, {"--fast"}, "--benchmark_")
+            .has("--fast");
 
     int rc;
     {

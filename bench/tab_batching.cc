@@ -18,7 +18,6 @@
  * smoke use.
  */
 
-#include <cstring>
 
 #include "common.hh"
 
@@ -88,7 +87,7 @@ measure(bool batched, std::size_t payload, bool fast)
 int
 main(int argc, char **argv)
 {
-    bool fast = argc > 1 && std::strcmp(argv[1], "--fast") == 0;
+    const bool fast = parseArgs(argc, argv, {"--fast"}).has("--fast");
 
     banner("tab_batching",
            "batched RDMA dispatch & forwarding (extension ablation, "

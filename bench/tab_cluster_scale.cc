@@ -40,7 +40,6 @@
  */
 
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -250,7 +249,7 @@ measure(int machines, double loadFactor, bool fast)
 int
 main(int argc, char **argv)
 {
-    bool fast = argc > 1 && std::strcmp(argv[1], "--fast") == 0;
+    const bool fast = parseArgs(argc, argv, {"--fast"}).has("--fast");
     banner("tab_cluster_scale",
            "cluster scale-out with RSS steering + admission control "
            "(extension)",

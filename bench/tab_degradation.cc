@@ -20,7 +20,6 @@
  * smoke use.
  */
 
-#include <cstring>
 
 #include "common.hh"
 
@@ -149,7 +148,7 @@ measure(int gpus, sim::FaultConfig fc, bool partitionRemote,
 int
 main(int argc, char **argv)
 {
-    bool fast = argc > 1 && std::strcmp(argv[1], "--fast") == 0;
+    const bool fast = parseArgs(argc, argv, {"--fast"}).has("--fast");
     banner("tab_degradation",
            "graceful degradation under faults (extension)",
            "not reported in the paper — the failover extension must "

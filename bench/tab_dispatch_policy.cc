@@ -72,8 +72,9 @@ measure(core::DispatchPolicy policy, int clients)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    parseArgs(argc, argv, {});
     banner("tab_dispatch_policy",
            "dispatching policy ablation: round-robin vs source-hash "
            "steering, 8 mqueues, 50 us requests",

@@ -148,8 +148,9 @@ measure(Platform platform)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    parseArgs(argc, argv, {});
     banner("tab_face_verification",
            "multi-tier face verification server (GPU + memcached over "
            "TCP client mqueues)",

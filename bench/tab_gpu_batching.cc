@@ -21,7 +21,6 @@
 
 #include "common.hh"
 
-#include <cstring>
 
 #include "workload/datagen.hh"
 
@@ -98,7 +97,7 @@ measure(const apps::LeNet &model,
 int
 main(int argc, char **argv)
 {
-    bool fast = argc > 1 && std::strcmp(argv[1], "--fast") == 0;
+    const bool fast = parseArgs(argc, argv, {"--fast"}).has("--fast");
 
     banner("gpu_batching",
            "accelerator-side dynamic request batching: LeNet "

@@ -25,7 +25,6 @@
  * for CI smoke use.
  */
 
-#include <cstring>
 
 #include "common.hh"
 
@@ -232,7 +231,7 @@ measure(Mode mode, int aggressors, double offeredRps,
 int
 main(int argc, char **argv)
 {
-    bool fast = argc > 1 && std::strcmp(argv[1], "--fast") == 0;
+    const bool fast = parseArgs(argc, argv, {"--fast"}).has("--fast");
     banner("tab_incast",
            "incast congestion: ECN/DCQCN + PFC vs tail-drop "
            "(extension)",

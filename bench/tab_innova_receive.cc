@@ -212,8 +212,9 @@ measureHostCentricReceive()
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    parseArgs(argc, argv, {});
     banner("tab_innova_receive",
            "receive-path throughput into 240 mqueues, 64 B UDP",
            "Innova (FPGA AFU) 7.4 M pkt/s; Bluefield 0.5 M pkt/s; "

@@ -18,7 +18,6 @@
  * (metrics-registry JSON snapshot).
  */
 
-#include <cstring>
 #include <fstream>
 #include <string>
 
@@ -182,19 +181,11 @@ lynxBreakdown(BenchJson &json, bool fast, const std::string &traceOut,
 int
 main(int argc, char **argv)
 {
-    bool fast = false;
-    std::string traceOut, metricsOut;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--fast") == 0)
-            fast = true;
-        else if (std::strncmp(argv[i], "--trace-out=", 12) == 0)
-            traceOut = argv[i] + 12;
-        else if (std::strncmp(argv[i], "--metrics-out=", 14) == 0)
-            metricsOut = argv[i] + 14;
-        else
-            std::fprintf(stderr, "ignoring unknown flag %s\n",
-                         argv[i]);
-    }
+    const BenchArgs args =
+        parseArgs(argc, argv, {"--fast", "--trace-out=", "--metrics-out="});
+    const bool fast = args.has("--fast");
+    const std::string traceOut = args.value("--trace-out=");
+    const std::string metricsOut = args.value("--metrics-out=");
 
     banner("tab_invocation_overhead",
            "per-request GPU management overhead of the CPU-driven "

@@ -61,8 +61,9 @@ measure(apps::LenetServiceConfig lcfg, int concurrency)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    parseArgs(argc, argv, {});
     banner("tab_lenet_ablation",
            "LeNet service design ablations (Lynx on Bluefield)",
            "per-layer dynamic parallelism costs a few us per request "

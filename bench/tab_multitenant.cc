@@ -31,7 +31,6 @@
  * smoke use.
  */
 
-#include <cstring>
 
 #include "common.hh"
 
@@ -253,7 +252,7 @@ measure(bool virtualized, double bullyRps, bool fast)
 int
 main(int argc, char **argv)
 {
-    bool fast = argc > 1 && std::strcmp(argv[1], "--fast") == 0;
+    const bool fast = parseArgs(argc, argv, {"--fast"}).has("--fast");
     banner("tab_multitenant",
            "multi-tenant dispatch-plane virtualization (extension)",
            "not reported in the paper — per-tenant VFs (admission "

@@ -172,8 +172,9 @@ measureLynxBluefield(bool noisy)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    parseArgs(argc, argv, {});
     banner("tab_noisy_neighbor",
            "GPU-server latency under a cache-filling matrix-product "
            "neighbor (§3.2) and Lynx's isolation (§6.2)",

@@ -196,8 +196,9 @@ measureBaseline()
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    parseArgs(argc, argv, {});
     banner("tab_vca_sgx",
            "SGX secure server on the Intel VCA: Lynx vs the native "
            "IP-over-PCIe bridge, 1 K req/s",

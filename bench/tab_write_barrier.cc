@@ -27,8 +27,9 @@ measure(core::SnicMqueueConfig mqCfg)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    parseArgs(argc, argv, {});
     banner("tab_write_barrier",
            "mqueue RX write-path ablation: coalescing and the GPU "
            "consistency barrier (zero-work echo, Bluefield)",

@@ -47,6 +47,7 @@
 #include "pcie/memory.hh"
 #include "sim/co.hh"
 #include "sim/fault.hh"
+#include "sim/pool.hh"
 #include "sim/simulator.hh"
 #include "sim/stats.hh"
 #include "sim/task.hh"
@@ -307,8 +308,12 @@ class QueuePair
             co_return WcStatus::Error;
         }
         sim::Tick arriveAt = nextOpTime(0, fate.extra);
-        auto snapshot =
-            std::make_shared<std::vector<std::uint8_t>>(out.size());
+        // Shared with the delivery closure, which may outlive this
+        // frame; both the vector and its bytes come from the Pool.
+        using Snapshot =
+            std::vector<std::uint8_t, sim::PoolAllocator<std::uint8_t>>;
+        auto snapshot = std::allocate_shared<Snapshot>(
+            sim::PoolAllocator<Snapshot>{}, out.size());
         pcie::DeviceMemory &target = target_;
         sim_.schedule(arriveAt, [&target, off, snapshot] {
             target.read(off, *snapshot);

@@ -127,6 +127,7 @@ class [[nodiscard]] Co
         {
             handle.promise().sim = parent.promise().sim;
             handle.promise().continuation = parent;
+            handle.promise().sim->noteFrameStarted();
             return handle; // symmetric transfer: start the child
         }
 
@@ -198,6 +199,7 @@ class [[nodiscard]] Co<void>
         {
             handle.promise().sim = parent.promise().sim;
             handle.promise().continuation = parent;
+            handle.promise().sim->noteFrameStarted();
             return handle;
         }
 

@@ -6,15 +6,6 @@
 
 namespace lynx::sim {
 
-Pool &
-Pool::instance() noexcept
-{
-    // Leak-free: function-local static is destroyed at exit, after
-    // (namespace-scope) simulators, and returns every slab.
-    static Pool pool;
-    return pool;
-}
-
 Pool::~Pool()
 {
     for (void *slab : slabs_)

@@ -56,8 +56,16 @@ class Pool
         std::size_t bytesReserved = 0;   ///< total slab bytes held
     };
 
-    /** @return the process-wide pool. */
-    static Pool &instance() noexcept;
+    /** @return the process-wide pool. Defined here so the hot
+     *  allocate/deallocate call sites inline it. Leak-free: the
+     *  function-local static is destroyed at exit, after
+     *  (namespace-scope) simulators, and returns every slab. */
+    static Pool &
+    instance() noexcept
+    {
+        static Pool pool;
+        return pool;
+    }
 
     /** @return a block of at least @p n bytes, 16-byte aligned. */
     void *allocate(std::size_t n);

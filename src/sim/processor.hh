@@ -8,18 +8,30 @@
  * (time the work takes on a baseline Xeon core); slower processors
  * (e.g. Bluefield's ARM A72) scale them with speedFactor, and
  * cache-contention models scale them dynamically with contention().
+ *
+ * exec() is an awaiter, not a coroutine, so charging a core starts no
+ * frame. An idle core charges the caller at once and schedules the
+ * caller's own handle at now + cost. A busy core queues the caller
+ * FIFO. A release that finds waiters makes one zero-delay wakeup of
+ * the core's grant step, and the grant step charges the front waiter
+ * when it fires: the cost is scaled then, so a contention change
+ * between a release and its grant applies to the grant. The caller
+ * releases the core as it resumes, after execThen's hook.
  */
 
 #ifndef LYNX_SIM_PROCESSOR_HH
 #define LYNX_SIM_PROCESSOR_HH
 
+#include <coroutine>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "co.hh"
+#include "logging.hh"
+#include "ring.hh"
 #include "simulator.hh"
-#include "sync.hh"
+#include "task.hh"
 #include "time.hh"
 
 namespace lynx::sim {
@@ -36,8 +48,10 @@ class Core
      */
     Core(Simulator &sim, std::string name, double speedFactor = 1.0)
         : sim_(sim), name_(std::move(name)), speedFactor_(speedFactor),
-          busy_(sim, 1)
+          grantStep_(grantLoop().handle)
     {}
+
+    ~Core() { grantStep_.destroy(); }
 
     Core(const Core &) = delete;
     Core &operator=(const Core &) = delete;
@@ -79,18 +93,46 @@ class Core
                                  speedFactor_ * contention_);
     }
 
+    /** Awaiter of exec() and execThen(): charges the awaiting
+     *  coroutine, then runs @p Fn and releases the core as it
+     *  resumes. */
+    template <typename Fn>
+    struct [[nodiscard]] ExecAwaiter
+    {
+        Core &core;
+        Tick referenceCost;
+        [[no_unique_address]] Fn fn;
+
+        bool await_ready() const noexcept { return false; }
+
+        void
+        await_suspend(std::coroutine_handle<> h)
+        {
+            core.acquire(h, referenceCost);
+        }
+
+        void
+        await_resume()
+        {
+            fn();
+            core.release();
+        }
+    };
+
+    /** No hook: plain exec(). */
+    struct NoHook
+    {
+        void operator()() const noexcept {}
+    };
+
     /**
      * Execute @p referenceCost worth of work on this core: queue FIFO
      * behind earlier work, occupy the core for the scaled duration.
      */
-    Co<void>
+    ExecAwaiter<NoHook>
     exec(Tick referenceCost)
     {
-        co_await busy_.acquire();
-        Tick cost = scaledCost(referenceCost);
-        busyTime_ += cost;
-        co_await sleep(cost);
-        busy_.release();
+        return {*this, referenceCost, {}};
     }
 
     /**
@@ -98,24 +140,102 @@ class Core
      * (for operations whose effect must be atomic with the charge).
      */
     template <typename Fn>
-    Co<void>
+    ExecAwaiter<Fn>
     execThen(Tick referenceCost, Fn fn)
     {
-        co_await busy_.acquire();
-        Tick cost = scaledCost(referenceCost);
-        busyTime_ += cost;
-        co_await sleep(cost);
-        fn();
-        busy_.release();
+        return {*this, referenceCost, std::move(fn)};
     }
 
   private:
+    /** A caller queued on a busy core. */
+    struct Waiter
+    {
+        std::coroutine_handle<> handle;
+        Tick referenceCost;
+    };
+
+    /** The grant step's coroutine. Its frame is made with the core
+     *  (so no grant allocates) and destroyed with it; it is never
+     *  registered with the simulator. */
+    struct GrantStep
+    {
+        struct promise_type : PromiseBase
+        {
+            GrantStep
+            get_return_object()
+            {
+                return {std::coroutine_handle<promise_type>::from_promise(
+                    *this)};
+            }
+
+            std::suspend_always initial_suspend() noexcept { return {}; }
+            std::suspend_always final_suspend() noexcept { return {}; }
+            void return_void() {}
+
+            void
+            unhandled_exception()
+            {
+                LYNX_PANIC("unhandled exception escaped a Core grant");
+            }
+        };
+
+        std::coroutine_handle<promise_type> handle;
+    };
+
+    /** Each resume charges the front waiter, then parks again. */
+    GrantStep
+    grantLoop()
+    {
+        for (;;) {
+            const Waiter w = waiters_.pop_front();
+            charge(w.handle, w.referenceCost);
+            co_await std::suspend_always{};
+        }
+    }
+
+    void
+    acquire(std::coroutine_handle<> h, Tick referenceCost)
+    {
+        if (busy_) {
+            waiters_.push_back({h, referenceCost});
+            return;
+        }
+        busy_ = true;
+        charge(h, referenceCost);
+    }
+
+    /** Occupy the core for @p referenceCost, scaled now; @p h resumes
+     *  when the work is done. */
+    void
+    charge(std::coroutine_handle<> h, Tick referenceCost)
+    {
+        const Tick cost = scaledCost(referenceCost);
+        busyTime_ += cost;
+        sim_.scheduleIn(cost, h);
+    }
+
+    void
+    release()
+    {
+        if (waiters_.empty()) {
+            busy_ = false;
+            return;
+        }
+        // The core passes to the front waiter through a zero-delay
+        // hop. The waiter is charged when the hop fires, after what
+        // the releaser still does at this tick, so its wakeup takes
+        // its seq, and its cost the contention, at that point.
+        sim_.scheduleIn(Tick(0), grantStep_);
+    }
+
     Simulator &sim_;
     std::string name_;
     double speedFactor_;
     double contention_ = 1.0;
     Tick busyTime_ = 0;
-    Semaphore busy_;
+    bool busy_ = false;
+    RingDeque<Waiter> waiters_;
+    std::coroutine_handle<GrantStep::promise_type> grantStep_;
 };
 
 /** A named group of identical cores (a socket or an SNIC complex). */

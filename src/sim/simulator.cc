@@ -2,6 +2,24 @@
 
 namespace lynx::sim {
 
+namespace {
+
+/** Heap capacity reserved up front, so a steady state whose near heap
+ *  never held this many entries never grows it mid-run. */
+constexpr std::size_t kReservedKeys = 64;
+
+} // namespace
+
+Simulator::Simulator()
+{
+    // Construct the Pool first, so it is destroyed after every
+    // simulator, namespace-scope ones included (see Pool::instance).
+    Pool::instance();
+    near_.reserve(kReservedKeys);
+    far_.reserve(kReservedKeys);
+    metrics_.add("sim.engine", engine_);
+}
+
 Simulator::~Simulator()
 {
     // Drop pending events without firing them, then destroy any task
@@ -9,11 +27,13 @@ Simulator::~Simulator()
     // a channel). Destruction order matters: no coroutine may be
     // resumed past this point, only destroyed.
     tearingDown_ = true;
-    for (const Key &k : heap_)
-        dropClosure(k.fn);
+    for (const std::vector<Key> *heap : {&near_, &far_})
+        for (const Key &k : *heap)
+            dropClosure(k.fn);
     while (!ready_.empty())
         dropClosure(ready_.pop_front());
-    heap_.clear();
+    near_.clear();
+    far_.clear();
     // Destroying one coroutine can unregister others (a coroutine's
     // locals may own Tasks), so iterate defensively.
     while (!liveCoroutines_.empty()) {
@@ -34,12 +54,12 @@ Simulator::dropClosure(std::uintptr_t fn)
 }
 
 std::uintptr_t
-Simulator::popMin()
+Simulator::popMin(std::vector<Key> &heap)
 {
-    const std::uintptr_t fn = heap_.front().fn;
-    const Key last = heap_.back();
-    heap_.pop_back();
-    const std::size_t n = heap_.size();
+    const std::uintptr_t fn = heap.front().fn;
+    const Key last = heap.back();
+    heap.pop_back();
+    const std::size_t n = heap.size();
     if (n == 0)
         return fn;
     // Sift the last key down from the root's hole.
@@ -51,14 +71,14 @@ Simulator::popMin()
         const std::size_t end = c + 4 < n ? c + 4 : n;
         std::size_t best = c;
         for (std::size_t j = c + 1; j < end; ++j)
-            if (before(heap_[j], heap_[best]))
+            if (before(heap[j], heap[best]))
                 best = j;
-        if (!before(heap_[best], last))
+        if (!before(heap[best], last))
             break;
-        heap_[i] = heap_[best];
+        heap[i] = heap[best];
         i = best;
     }
-    heap_[i] = last;
+    heap[i] = last;
     return fn;
 }
 
@@ -79,14 +99,20 @@ Simulator::fire(std::uintptr_t fn)
 void
 Simulator::runLoop(Tick deadline)
 {
-    // A heap entry due at now() was scheduled while the clock was
-    // still behind now(), so it precedes every ready-ring entry (each
-    // made at now()) in (when, seq) order and fires first.
+    // The calendar's minimum is the smaller of the two heap tops by
+    // (when, seq). A heap entry due at now() was scheduled while the
+    // clock was still behind now(), so it precedes every ready-ring
+    // entry (each made at now()) in (when, seq) order and fires first.
     while (!stopped_) {
-        if (!heap_.empty() && heap_.front().when <= deadline &&
-            (heap_.front().when <= now_ || ready_.empty())) {
-            now_ = heap_.front().when;
-            fire(popMin());
+        std::vector<Key> &heap =
+            !far_.empty() && (near_.empty() ||
+                              before(far_.front(), near_.front()))
+                ? far_
+                : near_;
+        if (!heap.empty() && heap.front().when <= deadline &&
+            (heap.front().when <= now_ || ready_.empty())) {
+            now_ = heap.front().when;
+            fire(popMin(heap));
         } else if (!ready_.empty()) {
             fire(ready_.pop_front());
         } else {

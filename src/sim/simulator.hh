@@ -11,14 +11,24 @@
  * (FIFO) order, and all randomness flows through seeded Rng instances,
  * so a scenario replays identically run-to-run.
  *
- * The calendar is one 4-ary implicit min-heap of 24-byte keys
+ * The calendar is two 4-ary implicit min-heaps of 24-byte keys
  * (when, seq, fn) plus a FIFO ready ring for zero-delay wakeups (see
- * docs/INTERNALS.md §1). `fn` is a coroutine frame address, resumed
- * directly, or the address of an EventFn in a Pool block (tagged in
- * bit 0): the closure is built there once, in place, fired there and
- * the block recycled. The execution order is exactly the documented
- * contract: globally ascending (when, scheduling seq), with zero-delay
- * wakeups made at now() after every heap entry due at now().
+ * docs/INTERNALS.md §1). An entry due at least kFarDelay past now()
+ * goes into the far heap, every other one into the near heap, so the
+ * long idle deadlines (client timeouts) stay out of the heap the data
+ * path pops. The calendar's minimum is the smaller of the two tops,
+ * so the split never changes the order. `fn` is a coroutine frame
+ * address, resumed directly, or the address of an EventFn in a Pool
+ * block (tagged in bit 0): the closure is built there once, in place,
+ * fired there and the block recycled. The execution order is exactly
+ * the documented contract: globally ascending (when, scheduling seq),
+ * with zero-delay wakeups made at now() after every heap entry due at
+ * now().
+ *
+ * Always-on work counters (scheduling into each heap and the ring,
+ * closures, coroutine frames started) are registered as
+ * "sim.engine". They are per simulator, count work rather than time,
+ * and move no simulated time.
  */
 
 #ifndef LYNX_SIM_SIMULATOR_HH
@@ -33,6 +43,7 @@
 #include "metrics.hh"
 #include "pool.hh"
 #include "ring.hh"
+#include "stats.hh"
 #include "time.hh"
 
 namespace lynx::sim {
@@ -46,7 +57,7 @@ class SpanCollector;
 class Simulator
 {
   public:
-    Simulator() = default;
+    Simulator();
     ~Simulator();
 
     Simulator(const Simulator &) = delete;
@@ -67,6 +78,7 @@ class Simulator
         auto *closure =
             ::new (Pool::instance().allocate(sizeof(EventFn))) EventFn;
         closure->emplace(std::forward<F>(fn));
+        closureEvents_.add();
         enqueue(when, reinterpret_cast<std::uintptr_t>(closure) | 1);
     }
 
@@ -127,8 +139,12 @@ class Simulator
     std::uint64_t
     pendingEvents() const
     {
-        return heap_.size() + ready_.size();
+        return near_.size() + far_.size() + ready_.size();
     }
+
+    /** Count one coroutine frame started on this simulator (a spawned
+     *  Task or an awaited Co; see task.hh and co.hh). */
+    void noteFrameStarted() { framesStarted_.add(); }
 
     /**
      * @{
@@ -177,6 +193,17 @@ class Simulator
     std::size_t liveCoroutines() const { return liveCoroutines_.size(); }
     /** @} */
 
+    /**
+     * Entries due at least this far past now() are kept in the far
+     * heap. The data path schedules within tens of microseconds; idle
+     * deadlines, such as the closed-loop clients' 200 ms receive
+     * timeouts, are far out and fire at most once per timeout span.
+     * On echo_fanout the single heap this replaced held ~508 entries
+     * at a mean pop, 480 of them due more than 1 ms out (INTERNALS
+     * §1). The order of events does not depend on the value.
+     */
+    static constexpr Tick kFarDelay = milliseconds(1);
+
   private:
     /** One calendar entry. `fn` is a coroutine frame address or, with
      *  bit 0 set, a Pool-held EventFn (both are 16-byte aligned, so
@@ -206,27 +233,40 @@ class Simulator
         LYNX_DEBUG_ASSERT(when >= now_, "scheduling into the past");
         if (when <= now_) {
             // Zero-delay wakeups (channel handoffs, doorbells) skip
-            // the heap: FIFO ring, fired before the clock advances.
+            // the heaps: FIFO ring, fired before the clock advances.
+            readyEvents_.add();
             ready_.push_back(fn);
             return;
         }
-        // Sift up from a hole at the end.
-        std::size_t i = heap_.size();
-        heap_.emplace_back();
         const Key k{when, nextSeq_++, fn};
+        if (when - now_ >= kFarDelay) {
+            farPushes_.add();
+            push(far_, k);
+        } else {
+            nearPushes_.add();
+            push(near_, k);
+        }
+    }
+
+    /** Sift @p k up from a hole at the end of @p heap. */
+    static void
+    push(std::vector<Key> &heap, const Key &k)
+    {
+        std::size_t i = heap.size();
+        heap.emplace_back();
         while (i > 0) {
             const std::size_t parent = (i - 1) / 4;
-            if (!before(k, heap_[parent]))
+            if (!before(k, heap[parent]))
                 break;
-            heap_[i] = heap_[parent];
+            heap[i] = heap[parent];
             i = parent;
         }
-        heap_[i] = k;
+        heap[i] = k;
     }
 
     /** Destroy and free @p fn's closure unfired (teardown). */
     static void dropClosure(std::uintptr_t fn);
-    std::uintptr_t popMin();
+    static std::uintptr_t popMin(std::vector<Key> &heap);
     void fire(std::uintptr_t fn);
     void runLoop(Tick deadline);
 
@@ -242,12 +282,22 @@ class Simulator
     bool stopped_ = false;
     bool tearingDown_ = false;
 
-    std::vector<Key> heap_;           ///< 4-ary min-heap
+    std::vector<Key> near_;           ///< due within kFarDelay
+    std::vector<Key> far_;            ///< due kFarDelay or more out
     RingDeque<std::uintptr_t> ready_; ///< due at now(), FIFO
 
     std::vector<CoroEntry> liveCoroutines_;
     MetricsRegistry metrics_;
     SpanCollector *spans_ = nullptr;
+
+    /** "sim.engine": scheduling work by kind (map nodes are stable,
+     *  so the references stay valid). */
+    StatSet engine_;
+    Counter &nearPushes_ = engine_.counter("near_pushes");
+    Counter &farPushes_ = engine_.counter("far_pushes");
+    Counter &readyEvents_ = engine_.counter("ready_events");
+    Counter &closureEvents_ = engine_.counter("closure_events");
+    Counter &framesStarted_ = engine_.counter("frames_started");
 };
 
 } // namespace lynx::sim

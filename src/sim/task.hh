@@ -37,7 +37,7 @@ namespace lynx::sim {
  * Frames allocate through the slab Pool (promise-scoped operator
  * new/delete apply to the whole coroutine frame), so steady-state
  * coroutine churn — e.g. a Co<> per request — recycles instead of
- * hitting the heap.
+ * hitting the heap. A Task's JoinState comes from the Pool too.
  */
 struct PromiseBase
 {
@@ -86,7 +86,8 @@ class Task
 
     struct promise_type : PromiseBase
     {
-        std::shared_ptr<JoinState> join = std::make_shared<JoinState>();
+        std::shared_ptr<JoinState> join =
+            std::allocate_shared<JoinState>(PoolAllocator<JoinState>{});
 
         ~promise_type()
         {
@@ -172,6 +173,7 @@ class Task
         started_ = true;
         handle_.promise().sim = &sim;
         sim.registerCoroutine(handle_, handle_.promise().regIdx);
+        sim.noteFrameStarted();
         auto h = std::exchange(handle_, nullptr);
         h.resume();
     }

@@ -18,6 +18,7 @@
 #include "pcie/memory.hh"
 #include "sim/simulator.hh"
 #include "sim/task.hh"
+#include "workload/loadgen.hh"
 
 using namespace lynx;
 using namespace lynx::sim::literals;
@@ -107,6 +108,79 @@ TEST(LynxRuntime, EndToEndEchoOverUdp)
     // the order of 10-30 us (paper §6.2: ~19-25 us).
     EXPECT_LT(respAt, 60_us);
     EXPECT_EQ(d.rt->stats().counterValue("rx_msgs"), 1u);
+}
+
+namespace {
+
+/** The sim.engine counters after @p requests closed-loop echoes, each
+ *  awaited with a 200 ms receive deadline. */
+std::vector<std::uint64_t>
+echoEngineCounts(int requests)
+{
+    Deployment d;
+    auto &accel = d.rt->addAccelerator("gpu0", d.accelMem,
+                                       rdma::RdmaPathModel{});
+    ServiceConfig scfg;
+    scfg.name = "echo";
+    scfg.port = 7000;
+    scfg.queuesPerAccel = 1;
+    auto &svc = d.rt->addService(scfg);
+    auto queues = d.rt->makeAccelQueues(svc, accel);
+    sim::spawn(d.s, echoWorker(*queues[0]));
+    d.rt->start();
+
+    auto &cliEp = d.clientNic.bind(net::Protocol::Udp, 40000);
+    int answered = 0;
+    auto client = [&]() -> sim::Task {
+        for (int i = 0; i < requests; ++i) {
+            net::Message m;
+            m.src = {d.clientNic.node(), 40000};
+            m.dst = {d.snicNic.node(), 7000};
+            m.proto = net::Protocol::Udp;
+            m.payload = std::vector<std::uint8_t>{1, 2, 3, 4};
+            m.seq = static_cast<std::uint64_t>(i);
+            co_await d.clientNic.send(std::move(m));
+            if (co_await workload::recvTimeout(d.s, cliEp, 200_ms))
+                ++answered;
+        }
+    };
+    sim::spawn(d.s, client());
+    d.s.run();
+    EXPECT_EQ(answered, requests);
+
+    const sim::MetricsRegistry &m = d.s.metrics();
+    std::vector<std::uint64_t> counts;
+    for (const char *name : {"near_pushes", "far_pushes", "ready_events",
+                             "closure_events", "frames_started"})
+        counts.push_back(m.aggregateCounter("sim.engine", name));
+    // Every event fired was scheduled into exactly one of the two
+    // heaps or the ready ring.
+    EXPECT_EQ(counts[0] + counts[1] + counts[2],
+              d.s.eventsExecuted() + d.s.pendingEvents());
+    return counts;
+}
+
+} // namespace
+
+TEST(LynxRuntime, EngineCountersCountAnEchoDeterministically)
+{
+    const std::vector<std::uint64_t> counts = echoEngineCounts(20);
+    const std::uint64_t nearPushes = counts[0], farPushes = counts[1],
+                        ready = counts[2], closures = counts[3],
+                        frames = counts[4];
+    // The endpoint's one deadline timer is the only far entry: it is
+    // armed for the first request's 200 ms deadline and, since the
+    // echoes end well inside that span, never re-armed.
+    EXPECT_EQ(farPushes, 1u);
+    EXPECT_GT(nearPushes, 20u);
+    EXPECT_GT(ready, 0u);
+    EXPECT_GT(closures, 0u);
+    EXPECT_LE(closures, nearPushes + farPushes + ready);
+    // At least the client, the worker and one Co per send.
+    EXPECT_GT(frames, 20u);
+    // Counts are per simulator: a rerun in the same process reads the
+    // same numbers, not a running total.
+    EXPECT_EQ(echoEngineCounts(20), counts);
 }
 
 TEST(LynxRuntime, ManyRequestsManyQueuesRoundRobin)

@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
@@ -546,6 +547,87 @@ TEST(AllocFreeHotPath, ClosureBlocksAreReusedInSteadyState)
     EXPECT_EQ(g_allocCount - allocsAtWindowStart, 0u)
         << "steady closure scheduling allocated "
         << (g_allocCount - allocsAtWindowStart) << " times";
+#endif
+}
+
+/** A short-lived spawned task: one timed wait, then done. */
+sim::Task
+shortTask(int &finished)
+{
+    co_await sim::sleep(1);
+    ++finished;
+}
+
+/** Spawns one short task per step and drops its join handle. */
+sim::Task
+spawner(sim::Simulator &s, EchoProbe &probe, int &finished)
+{
+    for (int i = 0; i < kWarmupRounds + kMeasuredRounds; ++i) {
+        if (i == kWarmupRounds)
+            probe.allocsAtWindowStart = g_allocCount;
+        sim::spawn(s, shortTask(finished));
+        co_await sim::sleep(2);
+    }
+    probe.allocsAtWindowEnd = g_allocCount;
+}
+
+TEST(AllocFreeHotPath, SteadyStateSpawnDoesNotAllocate)
+{
+#if defined(LYNX_POOL_PASSTHROUGH)
+    GTEST_SKIP() << "pool passthrough lane";
+#else
+    // A spawned Task's frame and its join state both come from the
+    // Pool, so spawning (the baseline server's per-request handler,
+    // the mqueue credit prefetch) allocates nothing once warm.
+    sim::Simulator s;
+    EchoProbe probe;
+    int finished = 0;
+    sim::spawn(s, spawner(s, probe, finished));
+    s.run();
+    EXPECT_EQ(finished, kWarmupRounds + kMeasuredRounds);
+    EXPECT_EQ(probe.allocsAtWindowEnd - probe.allocsAtWindowStart, 0u)
+        << "steady-state spawn allocated "
+        << (probe.allocsAtWindowEnd - probe.allocsAtWindowStart)
+        << " times over " << kMeasuredRounds << " tasks";
+#endif
+}
+
+/** Reads four bytes over @p qp per round, checking the value. */
+sim::Task
+reader(rdma::QueuePair &qp, EchoProbe &probe)
+{
+    std::array<std::uint8_t, 4> word{};
+    for (int i = 0; i < kWarmupRounds + kMeasuredRounds; ++i) {
+        if (i == kWarmupRounds)
+            probe.allocsAtWindowStart = g_allocCount;
+        if (co_await qp.read(64, word) == rdma::WcStatus::Ok &&
+            word == std::array<std::uint8_t, 4>{1, 2, 3, 4})
+            ++probe.completed;
+    }
+    probe.allocsAtWindowEnd = g_allocCount;
+}
+
+TEST(AllocFreeHotPath, SteadyStateQueuePairReadDoesNotAllocate)
+{
+#if defined(LYNX_POOL_PASSTHROUGH)
+    GTEST_SKIP() << "pool passthrough lane";
+#else
+    // The read's snapshot, shared by the op and its delivery closure,
+    // lives in the Pool: a small read (the credit prefetch's
+    // readRxCons) allocates nothing once warm.
+    sim::Simulator s;
+    pcie::DeviceMemory mem("accel.mem", 4096);
+    const std::array<std::uint8_t, 4> value{1, 2, 3, 4};
+    mem.write(64, value);
+    rdma::QueuePair qp(s, "qp", mem, rdma::RdmaPathModel{});
+    EchoProbe probe;
+    sim::spawn(s, reader(qp, probe));
+    s.run();
+    EXPECT_EQ(probe.completed, kWarmupRounds + kMeasuredRounds);
+    EXPECT_EQ(probe.allocsAtWindowEnd - probe.allocsAtWindowStart, 0u)
+        << "steady-state 4-byte QueuePair::read allocated "
+        << (probe.allocsAtWindowEnd - probe.allocsAtWindowStart)
+        << " times over " << kMeasuredRounds << " reads";
 #endif
 }
 

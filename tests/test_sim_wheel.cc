@@ -13,9 +13,14 @@
  * calendar it was written against; the shapes that once stressed that
  * wheel's cascades and park repair stay as order tests.)
  *
+ * The NearFar tests aim at the split between the near and the far
+ * heap (Simulator::kFarDelay): equal timestamps whose entries sit in
+ * different heaps, and traces whose delays straddle the threshold.
+ *
  * The ClosureStorage tests cover where scheduled closures live: Pool
  * blocks that stay put while a running closure schedules thousands
- * more, and teardown that destroys each pending closure exactly once.
+ * more, and teardown that destroys each pending closure exactly once,
+ * in both heaps and the ready ring.
  */
 
 #include <gtest/gtest.h>
@@ -346,6 +351,97 @@ TEST(TimingWheel, PendingEventCountTracksCalendar)
     EXPECT_EQ(s.eventsExecuted(), 4u);
 }
 
+constexpr Tick kFar = Simulator::kFarDelay;
+
+/** Delays around the near/far threshold, zero-delay included. */
+constexpr std::array<Tick, 10> kDelays = {
+    0, 1, 1000, kFar / 2, kFar - 1000, kFar - 1, kFar, kFar + 1,
+    kFar + 1000, 2 * kFar};
+
+std::uint64_t
+engineCount(const Simulator &s, const char *name)
+{
+    return s.metrics().aggregateCounter("sim.engine", name);
+}
+
+TEST(NearFar, EqualWhenAcrossTheHeapsFiresInSeqOrder)
+{
+    // Both due at 2*kFar: the first is scheduled at t=0, a full 2*kFar
+    // ahead (far heap); the second from a closure at 1.5*kFar, half a
+    // threshold ahead (near heap). The far one holds the lower seq
+    // and fires first, and the threshold itself counts as far.
+    Simulator s;
+    std::vector<int> order;
+    s.schedule(2 * kFar, [&] { order.push_back(1); });
+    s.schedule(kFar + kFar / 2, [&] {
+        s.schedule(2 * kFar, [&] { order.push_back(2); });
+        s.scheduleIn(kFar - 1, [&] { order.push_back(3); });
+        s.scheduleIn(kFar, [&] { order.push_back(4); });
+    });
+    EXPECT_EQ(engineCount(s, "far_pushes"), 2u);
+    s.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+    EXPECT_EQ(engineCount(s, "near_pushes"), 2u);
+    EXPECT_EQ(engineCount(s, "far_pushes"), 3u);
+    EXPECT_EQ(s.now(), kFar + kFar / 2 + kFar);
+}
+
+TEST(NearFar, RandomizedTracesStraddlingTheThresholdMatchSortedReference)
+{
+    // Delays drawn from a small set around the threshold put many
+    // entries with equal timestamps into both heaps at once; runUntil
+    // parks between bursts. The reference is the contract: ascending
+    // (when, scheduling order).
+    for (std::uint64_t seed : {3u, 17u, 2024u}) {
+        Simulator s;
+        sim::Rng rng(seed);
+        std::vector<Obs> fired;
+        std::vector<Obs> expected;
+        std::uint64_t nextId = 0;
+        struct Ctx
+        {
+            Simulator &s;
+            sim::Rng &rng;
+            std::vector<Obs> &fired;
+            std::vector<Obs> &expected;
+            std::uint64_t &nextId;
+        } ctx{s, rng, fired, expected, nextId};
+        struct Spawner
+        {
+            static void
+            add(Ctx &c, Tick delay, int depth)
+            {
+                const std::uint64_t id = c.nextId++;
+                c.expected.push_back({c.s.now() + delay, id});
+                c.s.scheduleIn(delay, [&c, id, depth] {
+                    c.fired.push_back({c.s.now(), id});
+                    for (int k = 0; depth > 0 && k < 2; ++k)
+                        add(c, kDelays[c.rng.below(kDelays.size())],
+                            depth - 1);
+                });
+            }
+        };
+        for (int burst = 0; burst < 4; ++burst) {
+            for (int i = 0; i < 300; ++i)
+                Spawner::add(ctx, kDelays[rng.below(kDelays.size())],
+                             i % 5 == 0 ? 3 : 0);
+            s.runUntil(s.now() + kFar + kFar / 3);
+        }
+        s.run();
+
+        ASSERT_EQ(fired.size(), expected.size());
+        std::stable_sort(expected.begin(), expected.end());
+        EXPECT_EQ(fired, expected) << "seed " << seed;
+        EXPECT_GT(engineCount(s, "near_pushes"), 0u);
+        EXPECT_GT(engineCount(s, "far_pushes"), 0u);
+        EXPECT_GT(engineCount(s, "ready_events"), 0u);
+        EXPECT_EQ(engineCount(s, "near_pushes") +
+                      engineCount(s, "far_pushes") +
+                      engineCount(s, "ready_events"),
+                  s.eventsExecuted());
+    }
+}
+
 TEST(ClosureStorage, ClosureSchedulingThousandsFromItsOwnBodyKeepsItsCaptures)
 {
     // The parent schedules 1,000 children, zero-delay and future, from
@@ -444,6 +540,12 @@ TEST(ClosureStorage, TeardownDestroysEachPendingClosureOnce)
             s.schedule(2000, [&ran, p = DestroyProbe(&destroyed), big] {
                 ran += static_cast<int>(big[0]);
             });
+        // Pending in the far heap at teardown, inline and spilled.
+        for (int i = 0; i < 3; ++i)
+            s.schedule(5_ms, [&ran, p = DestroyProbe(&destroyed)] { ++ran; });
+        s.schedule(9_ms, [&ran, p = DestroyProbe(&destroyed), big] {
+            ran += static_cast<int>(big[0]);
+        });
         // Pending in the ready ring at teardown: a closure at t=20
         // leaves three zero-delay wakeups and stops the run.
         s.schedule(20, [&s, &ran, p = DestroyProbe(&destroyed)] {
@@ -457,10 +559,12 @@ TEST(ClosureStorage, TeardownDestroysEachPendingClosureOnce)
         s.run();
         EXPECT_EQ(ran, 6);
         EXPECT_EQ(destroyed, 6);
-        EXPECT_EQ(s.pendingEvents(), 12u);
+        EXPECT_EQ(s.pendingEvents(), 16u);
+        EXPECT_EQ(s.metrics().aggregateCounter("sim.engine", "far_pushes"),
+                  4u);
     }
     EXPECT_EQ(ran, 6);
-    EXPECT_EQ(destroyed, 18);
+    EXPECT_EQ(destroyed, 22);
 }
 
 } // namespace
