@@ -37,11 +37,25 @@ batchCap(int maxBatch)
     return static_cast<std::size_t>(std::max(maxBatch, 1));
 }
 
+/** drainBatch() with a linger: receive, then top up a partial burst
+ *  once. */
+sim::Co<void>
+drainLingering(core::AccelQueue &q, std::size_t maxN, sim::Tick linger,
+               std::vector<core::GioMessage> &msgs)
+{
+    co_await q.recvBatch(maxN, msgs);
+    if (msgs.size() >= 2 && msgs.size() < maxN) {
+        co_await sim::sleep(linger);
+        co_await q.tryRecvBatch(maxN - msgs.size(), msgs);
+    }
+}
+
 /**
  * Drain one batch into @p msgs (cleared first) under the
  * bounded-linger policy: a lone request (idle ring) is served
  * immediately; only a partial burst of 2+ requests that arrived
- * together lingers once to top up.
+ * together lingers once to top up. Without a linger this is the
+ * receive itself, with no frame of its own. Await it at once.
  */
 sim::Co<void>
 drainBatch(core::AccelQueue &q, int maxBatch, sim::Tick linger,
@@ -49,11 +63,9 @@ drainBatch(core::AccelQueue &q, int maxBatch, sim::Tick linger,
 {
     std::size_t maxN = batchCap(maxBatch);
     msgs.clear();
-    co_await q.recvBatch(maxN, msgs);
-    if (linger > 0 && msgs.size() >= 2 && msgs.size() < maxN) {
-        co_await sim::sleep(linger);
-        co_await q.tryRecvBatch(maxN - msgs.size(), msgs);
-    }
+    if (linger == 0)
+        return q.recvBatch(maxN, msgs);
+    return drainLingering(q, maxN, linger, msgs);
 }
 
 } // namespace

@@ -193,8 +193,20 @@ class Forwarder
                     if (batch.size() > 1 &&
                         e.mq->kind() == MqueueKind::Server)
                         orderByTenantClass(*e.mq, batch);
-                    for (auto &txm : batch)
-                        co_await forwardOne(e, std::move(txm));
+                    for (auto &txm : batch) {
+                        co_await core_.exec(cfg_.forwardCpu);
+                        std::optional<net::Message> out =
+                            response(e, std::move(txm));
+                        if (!out)
+                            continue;
+                        const net::StackProfile &prof =
+                            e.mq->kind() == MqueueKind::Server
+                                ? stack_
+                                : backendStack_;
+                        co_await core_.exec(prof.cost(
+                            out->proto, net::Dir::Send, out->size()));
+                        co_await nic_.send(std::move(*out));
+                    }
                 }
                 if (e.mq->txCommitPending())
                     co_await e.mq->commitTxCons(core_);
@@ -270,10 +282,17 @@ class Forwarder
         batch = std::move(reordered);
     }
 
-    sim::Co<void>
-    forwardOne(Entry &e, TxMessage txm)
+    /**
+     * Turn TX message @p txm of queue @p e into the message to send,
+     * once its forwarding CPU is charged: for a server queue, the
+     * response to the client its tag names; for a client queue, the
+     * request to the queue's backend.
+     * @return nullopt for a stale tag or a retired tenant's response
+     * (counted, never sent).
+     */
+    std::optional<net::Message>
+    response(Entry &e, TxMessage txm)
     {
-        co_await core_.exec(cfg_.forwardCpu);
         net::Message out;
         out.payload = std::move(txm.payload);
         if (e.mq->kind() == MqueueKind::Server) {
@@ -288,7 +307,7 @@ class Forwarder
                 LYNX_ASSERT(e.mq->hasRetryPolicy(), e.mq->name(),
                             ": response with unknown tag ", txm.tag);
                 cStaleResponses_->add();
-                co_return;
+                return std::nullopt;
             }
             ClientRef &client = *c;
             if (!tenants_.finish(client.tenant, client.tenantGen,
@@ -297,7 +316,7 @@ class Forwarder
                 // flight: its slot drained (counted in the table) but
                 // the response itself must never be delivered stale.
                 cTenantStale_->add();
-                co_return;
+                return std::nullopt;
             }
             out.tenant = client.tenant;
             out.src = net::Address{nic_.node(), e.servicePort};
@@ -321,11 +340,7 @@ class Forwarder
             out.sentAt = sim_.now();
             cBackendRequests_->add();
         }
-        const net::StackProfile &prof =
-            e.mq->kind() == MqueueKind::Server ? stack_ : backendStack_;
-        co_await core_.exec(
-            prof.cost(out.proto, net::Dir::Send, out.size()));
-        co_await nic_.send(std::move(out));
+        return out;
     }
 
     sim::Simulator &sim_;

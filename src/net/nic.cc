@@ -61,34 +61,38 @@ Nic::flowTo(std::uint32_t dstNode)
     return it->second;
 }
 
-sim::Co<void>
+Nic::SendAwaiter
 Nic::send(Message m)
 {
     LYNX_DEBUG_ASSERT(m.src.node == node_, name_,
                       ": spoofed source node");
-    cTxMsgs_->add();
-    cTxBytes_->add(m.size());
-
     const CongestionConfig &cc = network_.congestionConfig();
-    if (cc.enabled && cc.dcqcnEnabled && m.dst.node != node_) {
-        // DCQCN rate limiter: hold the sender until the flow's paced
-        // slot. Pacing is per destination; the TX-queue serialization
-        // below still applies on top (the link is shared).
-        FlowCc &fc = flowTo(m.dst.node);
-        sim::Tick pace = fc.dcqcn.paceTime(m.size(), sim_.now());
-        sim::Tick start = std::max(sim_.now(), fc.nextAt);
-        fc.nextAt = start + pace;
-        if (start > sim_.now())
-            co_await sim::sleep(start - sim_.now());
-    }
+    if (cc.enabled && cc.dcqcnEnabled && m.dst.node != node_)
+        return {*this, {}, sendPaced(std::move(m))};
+    return {*this, std::move(m), {}};
+}
 
-    // Occupy the TX queue for the serialization time: a sender that
-    // outpaces the link sees back-pressure.
-    sim::Tick ser = serialization(m.size());
-    sim::Tick start = std::max(sim_.now(), txBusyUntil_);
-    txBusyUntil_ = start + ser;
-    co_await sim::sleep(txBusyUntil_ - sim_.now());
+sim::Co<void>
+Nic::sendPaced(Message m)
+{
+    countTx(m);
+    // DCQCN rate limiter: hold the sender until the flow's paced
+    // slot. Pacing is per destination; the TX-queue serialization
+    // below still applies on top (the link is shared), read after
+    // the pace wait.
+    FlowCc &fc = flowTo(m.dst.node);
+    sim::Tick pace = fc.dcqcn.paceTime(m.size(), sim_.now());
+    sim::Tick start = std::max(sim_.now(), fc.nextAt);
+    fc.nextAt = start + pace;
+    if (start > sim_.now())
+        co_await sim::sleep(start - sim_.now());
+    co_await sim::sleep(occupyTx(m.size()) - sim_.now());
+    onWire(std::move(m));
+}
 
+void
+Nic::onWire(Message m)
+{
     // Request on the wire. First-stamp-wins keeps the response's trip
     // through the server NIC from overwriting the client-side TX.
     if (sim::SpanCollector *spans = sim_.spans())

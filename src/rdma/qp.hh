@@ -37,6 +37,7 @@
 #define LYNX_RDMA_QP_HH
 
 #include <algorithm>
+#include <coroutine>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -293,25 +294,54 @@ class QueuePair
         scheduleDelivery(off, std::move(data), fate.extra);
     }
 
+    /** A read snapshot: shared by read()'s awaiter and its delivery
+     *  closure, which may outlive it; the vector and its bytes both
+     *  come from the Pool. */
+    using Snapshot =
+        std::vector<std::uint8_t, sim::PoolAllocator<std::uint8_t>>;
+
+    /** Awaiter of read(): the op is judged and scheduled at the call,
+     *  and the caller resumes at its completion. */
+    struct [[nodiscard]] ReadAwaiter
+    {
+        QueuePair &qp;
+        sim::Tick doneAt;
+        std::shared_ptr<Snapshot> snapshot; ///< null: the op failed
+        std::span<std::uint8_t> out;
+
+        bool await_ready() const noexcept { return false; }
+
+        template <sim::SimPromise P>
+        void
+        await_suspend(std::coroutine_handle<P> h)
+        {
+            qp.sim_.schedule(doneAt, h);
+        }
+
+        WcStatus
+        await_resume()
+        {
+            if (!snapshot)
+                return WcStatus::Error;
+            std::copy(snapshot->begin(), snapshot->end(), out.begin());
+            return WcStatus::Ok;
+        }
+    };
+
     /**
      * One-sided RDMA read of @p out.size() bytes at @p off. The
      * snapshot is taken when the request reaches the target; the
      * caller resumes one `oneWay` later with @p out filled. On
-     * WcStatus::Error @p out is untouched.
+     * WcStatus::Error @p out is untouched. The op is judged and
+     * scheduled at the call: await it at once.
      */
-    sim::Co<WcStatus>
+    ReadAwaiter
     read(std::uint64_t off, std::span<std::uint8_t> out)
     {
         OpFate fate = judgeOp();
-        if (fate.fail) {
-            co_await sim::sleep(failTime(0, fate) - sim_.now());
-            co_return WcStatus::Error;
-        }
+        if (fate.fail)
+            return {*this, failTime(0, fate), nullptr, out};
         sim::Tick arriveAt = nextOpTime(0, fate.extra);
-        // Shared with the delivery closure, which may outlive this
-        // frame; both the vector and its bytes come from the Pool.
-        using Snapshot =
-            std::vector<std::uint8_t, sim::PoolAllocator<std::uint8_t>>;
         auto snapshot = std::allocate_shared<Snapshot>(
             sim::PoolAllocator<Snapshot>{}, out.size());
         pcie::DeviceMemory &target = target_;
@@ -323,9 +353,7 @@ class QueuePair
             arriveAt + path_.serialization(out.size()) + path_.oneWay;
         cReadOps_->add();
         cReadBytes_->add(out.size());
-        co_await sim::sleep(respTime - sim_.now());
-        std::copy(snapshot->begin(), snapshot->end(), out.begin());
-        co_return WcStatus::Ok;
+        return {*this, respTime, std::move(snapshot), out};
     }
 
     /**
@@ -348,25 +376,50 @@ class QueuePair
         co_return WcStatus::Ok;
     }
 
+    /** Awaiter of fetch(): the op is judged at the call, and the
+     *  caller resumes when the fetch has landed (or failed). */
+    struct [[nodiscard]] FetchAwaiter
+    {
+        QueuePair &qp;
+        sim::Tick delay;
+        bool fail;
+
+        bool await_ready() const noexcept { return false; }
+
+        template <sim::SimPromise P>
+        void
+        await_suspend(std::coroutine_handle<P> h)
+        {
+            qp.sim_.scheduleIn(delay, h);
+        }
+
+        WcStatus
+        await_resume()
+        {
+            if (!fail)
+                return WcStatus::Ok;
+            qp.cFetchErrors_->add();
+            return WcStatus::Error;
+        }
+    };
+
     /**
      * Latency model of one *pipelined* fetch of @p bytes from target
      * memory (the forwarder's TX-slot reads, which stream without
      * holding the QP channel — see SnicMqueue::pollTxBatch). Without
      * faults this is exactly nicLatency + oneWay + serialization;
      * with faults, retransmits add their delays and an exhausted
-     * budget returns Error (the fetched data must not be used).
+     * budget returns Error (the fetched data must not be used). The
+     * op is judged at the call: await it at once.
      */
-    sim::Co<WcStatus>
+    FetchAwaiter
     fetch(std::uint64_t bytes)
     {
         OpFate fate = judgeOp();
-        co_await sim::sleep(path_.nicLatency + path_.oneWay +
-                            path_.serialization(bytes) + fate.extra);
-        if (fate.fail) {
-            cFetchErrors_->add();
-            co_return WcStatus::Error;
-        }
-        co_return WcStatus::Ok;
+        return {*this,
+                path_.nicLatency + path_.oneWay +
+                    path_.serialization(bytes) + fate.extra,
+                fate.fail};
     }
 
     /** Operation/byte counters. */

@@ -12,6 +12,10 @@
  *     sim::Co<int> Nic::transmit(Message m) { ... co_return n; }
  *     ...
  *     int n = co_await nic.transmit(std::move(m));
+ *
+ * A default-constructed Co<void> holds no coroutine, and awaiting it
+ * completes at once: a plain function returning Co<void> can return
+ * one when it has nothing to wait for, and then starts no frame.
  */
 
 #ifndef LYNX_SIM_CO_HH
@@ -114,6 +118,9 @@ class [[nodiscard]] Co
             handle_.destroy();
     }
 
+    /** @return whether this Co holds a coroutine. */
+    explicit operator bool() const noexcept { return bool(handle_); }
+
     /** Awaiter that starts the child and resumes the parent at end. */
     struct Awaiter
     {
@@ -187,11 +194,16 @@ class [[nodiscard]] Co<void>
             handle_.destroy();
     }
 
+    /** @return whether this Co holds a coroutine. */
+    explicit operator bool() const noexcept { return bool(handle_); }
+
+    /** Awaiter that starts the child and resumes the parent at end;
+     *  an empty Co (no coroutine) completes at once. */
     struct Awaiter
     {
         Handle handle;
 
-        bool await_ready() const noexcept { return false; }
+        bool await_ready() const noexcept { return !handle; }
 
         template <SimPromise P>
         std::coroutine_handle<>

@@ -4,20 +4,6 @@
 
 namespace lynx::workload {
 
-sim::Co<std::optional<net::Message>>
-recvTimeout(sim::Simulator &sim, net::Endpoint &ep, sim::Tick timeout)
-{
-    sim::Tick deadline = sim.now() + timeout;
-    for (;;) {
-        if (auto m = ep.tryRecv())
-            co_return m;
-        if (sim.now() >= deadline)
-            co_return std::nullopt;
-        // Event-driven wait: next arrival or the deadline.
-        co_await ep.waitArrival(deadline - sim.now());
-    }
-}
-
 LoadGen::LoadGen(sim::Simulator &sim, LoadGenConfig cfg)
     : sim_(sim), cfg_(std::move(cfg)), rng_(cfg_.seed),
       cStaleResponses_(&stats_.counter("stale_responses"))

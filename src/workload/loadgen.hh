@@ -60,9 +60,13 @@
 
 namespace lynx::workload {
 
-/** Await a message with a deadline; nullopt on timeout. */
-sim::Co<std::optional<net::Message>>
-recvTimeout(sim::Simulator &sim, net::Endpoint &ep, sim::Tick timeout);
+/** Await a message on @p ep for at most @p timeout; nullopt on
+ *  timeout. Starts no coroutine frame (Endpoint::recvUntil). */
+inline net::Endpoint::RecvUntilAwaiter
+recvTimeout(sim::Simulator &sim, net::Endpoint &ep, sim::Tick timeout)
+{
+    return ep.recvUntil(sim.now() + timeout);
+}
 
 /** Configuration of one load generator. */
 struct LoadGenConfig

@@ -51,10 +51,23 @@ namespace {
 
 std::uint64_t g_allocCount = 0;
 
+/** In the sanitizer lane the pool passes every allocation through to
+ *  the system allocator by design, so the zero-allocation checks are
+ *  skipped there; their bodies still compile. */
+#if defined(LYNX_POOL_PASSTHROUGH)
+constexpr bool kPoolPassthrough = true;
+#else
+constexpr bool kPoolPassthrough = false;
+#endif
+
 } // namespace
 
 // Counting wrappers around the global allocator. All variants must be
-// covered: the engine uses both plain and aligned forms.
+// covered: the engine uses both plain and aligned forms. The delete
+// forms are kept out of line: inlined into a caller, they would show
+// the compiler std::free() applied to a pointer it saw come from
+// operator new (-Wmismatched-new-delete), not knowing that the
+// replacement operator new is malloc underneath.
 void *
 operator new(std::size_t n)
 {
@@ -89,49 +102,49 @@ operator new[](std::size_t n, std::align_val_t align)
     return ::operator new(n, align);
 }
 
-void
+[[gnu::noinline]] void
 operator delete(void *p) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete[](void *p) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete(void *p, std::size_t) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete[](void *p, std::size_t) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete(void *p, std::align_val_t) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete[](void *p, std::align_val_t) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete(void *p, std::size_t, std::align_val_t) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete[](void *p, std::size_t, std::align_val_t) noexcept
 {
     std::free(p);
@@ -186,10 +199,9 @@ echoClient(net::Nic &nic, net::Address target, EchoProbe &probe,
 
 TEST(AllocFreeHotPath, SteadyStateEchoEventLoopDoesNotAllocate)
 {
-#if defined(LYNX_POOL_PASSTHROUGH)
-    GTEST_SKIP() << "pool passthrough lane: every allocation is "
-                    "routed to the system allocator by design";
-#else
+    if (kPoolPassthrough)
+        GTEST_SKIP() << "pool passthrough lane: every allocation is "
+                        "routed to the system allocator by design";
     sim::Simulator s;
     net::Network network(s);
     net::Nic &client = network.addNic("client");
@@ -206,7 +218,6 @@ TEST(AllocFreeHotPath, SteadyStateEchoEventLoopDoesNotAllocate)
         << "steady-state echo hot path allocated "
         << (probe.allocsAtWindowEnd - probe.allocsAtWindowStart)
         << " times over " << kMeasuredRounds << " round trips";
-#endif
 }
 
 /** The closed-loop client of the load generator and the backend
@@ -237,9 +248,8 @@ timedEchoClient(sim::Simulator &s, net::Nic &nic, net::Address target,
 
 TEST(AllocFreeHotPath, SteadyStateTimedEchoAndDoorbellDoNotAllocate)
 {
-#if defined(LYNX_POOL_PASSTHROUGH)
-    GTEST_SKIP() << "pool passthrough lane";
-#else
+    if (kPoolPassthrough)
+        GTEST_SKIP() << "pool passthrough lane";
     sim::Simulator s;
     net::Network network(s);
     net::Nic &client = network.addNic("client");
@@ -262,7 +272,6 @@ TEST(AllocFreeHotPath, SteadyStateTimedEchoAndDoorbellDoNotAllocate)
         << "steady-state recvTimeout + doorbell path allocated "
         << (probe.allocsAtWindowEnd - probe.allocsAtWindowStart)
         << " times over " << kMeasuredRounds << " round trips";
-#endif
 }
 
 /** SNIC side of the ring round trip: push one request, poll the TX
@@ -331,9 +340,8 @@ gioEchoBatchesOfOne(core::AccelQueue &q)
  */
 TEST(AllocFreeHotPath, UnbatchedRingRoundTripAllocatesOnlyItsBuffers)
 {
-#if defined(LYNX_POOL_PASSTHROUGH)
-    GTEST_SKIP() << "pool passthrough lane";
-#else
+    if (kPoolPassthrough)
+        GTEST_SKIP() << "pool passthrough lane";
     for (bool batchesOfOne : {false, true}) {
         sim::Simulator s;
         pcie::DeviceMemory mem("accel.mem", 1 << 20);
@@ -358,7 +366,6 @@ TEST(AllocFreeHotPath, UnbatchedRingRoundTripAllocatesOnlyItsBuffers)
             << (probe.allocsAtWindowEnd - probe.allocsAtWindowStart)
             << " times over " << kMeasuredRounds;
     }
-#endif
 }
 
 TEST(AllocFreeHotPath, HotEventShapesFitInline)
@@ -404,9 +411,8 @@ TEST(AllocFreeHotPath, DisabledTraceAllocatesNothing)
  *  not. */
 TEST(AllocFreeHotPath, TenantAccountingHotPathDoesNotAllocate)
 {
-#if defined(LYNX_POOL_PASSTHROUGH)
-    GTEST_SKIP() << "pool passthrough lane";
-#else
+    if (kPoolPassthrough)
+        GTEST_SKIP() << "pool passthrough lane";
     sim::Simulator s;
     core::TenantConfig cfg;
     cfg.autoRegister = false;
@@ -439,7 +445,6 @@ TEST(AllocFreeHotPath, TenantAccountingHotPathDoesNotAllocate)
     EXPECT_EQ(g_allocCount - before, 0u)
         << "tenant accounting hot path allocated "
         << (g_allocCount - before) << " times over 512 cycles";
-#endif
 }
 
 /** Allocations in the measured window of @p kMeasuredRounds serial
@@ -500,23 +505,20 @@ ringPushWindowAllocs(bool viaDispatcher)
  *  class-queue node or other per-request record is created. */
 TEST(AllocFreeHotPath, DefaultTenantDispatchAddsNoAllocation)
 {
-#if defined(LYNX_POOL_PASSTHROUGH)
-    GTEST_SKIP() << "pool passthrough lane";
-#else
+    if (kPoolPassthrough)
+        GTEST_SKIP() << "pool passthrough lane";
     const std::uint64_t bare = ringPushWindowAllocs(false);
     const std::uint64_t dispatched = ringPushWindowAllocs(true);
     EXPECT_LE(dispatched, bare)
         << "default-VF dispatch allocated " << dispatched
         << " times over " << kMeasuredRounds << " requests, a bare "
         << "push " << bare;
-#endif
 }
 
 TEST(AllocFreeHotPath, ClosureBlocksAreReusedInSteadyState)
 {
-#if defined(LYNX_POOL_PASSTHROUGH)
-    GTEST_SKIP() << "pool passthrough lane";
-#else
+    if (kPoolPassthrough)
+        GTEST_SKIP() << "pool passthrough lane";
     // 300 closure chains, each link rescheduling the next at zero
     // delay or in the future. Once the pool, the heap and the ready
     // ring have grown to the chains' width, fired closures' blocks
@@ -547,7 +549,6 @@ TEST(AllocFreeHotPath, ClosureBlocksAreReusedInSteadyState)
     EXPECT_EQ(g_allocCount - allocsAtWindowStart, 0u)
         << "steady closure scheduling allocated "
         << (g_allocCount - allocsAtWindowStart) << " times";
-#endif
 }
 
 /** A short-lived spawned task: one timed wait, then done. */
@@ -573,9 +574,8 @@ spawner(sim::Simulator &s, EchoProbe &probe, int &finished)
 
 TEST(AllocFreeHotPath, SteadyStateSpawnDoesNotAllocate)
 {
-#if defined(LYNX_POOL_PASSTHROUGH)
-    GTEST_SKIP() << "pool passthrough lane";
-#else
+    if (kPoolPassthrough)
+        GTEST_SKIP() << "pool passthrough lane";
     // A spawned Task's frame and its join state both come from the
     // Pool, so spawning (the baseline server's per-request handler,
     // the mqueue credit prefetch) allocates nothing once warm.
@@ -589,7 +589,6 @@ TEST(AllocFreeHotPath, SteadyStateSpawnDoesNotAllocate)
         << "steady-state spawn allocated "
         << (probe.allocsAtWindowEnd - probe.allocsAtWindowStart)
         << " times over " << kMeasuredRounds << " tasks";
-#endif
 }
 
 /** Reads four bytes over @p qp per round, checking the value. */
@@ -609,9 +608,8 @@ reader(rdma::QueuePair &qp, EchoProbe &probe)
 
 TEST(AllocFreeHotPath, SteadyStateQueuePairReadDoesNotAllocate)
 {
-#if defined(LYNX_POOL_PASSTHROUGH)
-    GTEST_SKIP() << "pool passthrough lane";
-#else
+    if (kPoolPassthrough)
+        GTEST_SKIP() << "pool passthrough lane";
     // The read's snapshot, shared by the op and its delivery closure,
     // lives in the Pool: a small read (the credit prefetch's
     // readRxCons) allocates nothing once warm.
@@ -628,14 +626,12 @@ TEST(AllocFreeHotPath, SteadyStateQueuePairReadDoesNotAllocate)
         << "steady-state 4-byte QueuePair::read allocated "
         << (probe.allocsAtWindowEnd - probe.allocsAtWindowStart)
         << " times over " << kMeasuredRounds << " reads";
-#endif
 }
 
 TEST(AllocFreeHotPath, PoolRecyclesBlocks)
 {
-#if defined(LYNX_POOL_PASSTHROUGH)
-    GTEST_SKIP() << "pool passthrough lane";
-#else
+    if (kPoolPassthrough)
+        GTEST_SKIP() << "pool passthrough lane";
     sim::Pool &pool = sim::Pool::instance();
     void *a = pool.allocate(100);
     pool.deallocate(a);
@@ -649,14 +645,12 @@ TEST(AllocFreeHotPath, PoolRecyclesBlocks)
     void *big = pool.allocate(sim::Pool::kMaxBlockSize + 1);
     ASSERT_NE(big, nullptr);
     pool.deallocate(big);
-#endif
 }
 
 TEST(AllocFreeHotPath, PayloadReusesItsBlockAcrossAssignments)
 {
-#if defined(LYNX_POOL_PASSTHROUGH)
-    GTEST_SKIP() << "pool passthrough lane";
-#else
+    if (kPoolPassthrough)
+        GTEST_SKIP() << "pool passthrough lane";
     const std::vector<std::uint8_t> small(40, 1);
     net::Payload p;
     p = small;
@@ -668,7 +662,6 @@ TEST(AllocFreeHotPath, PayloadReusesItsBlockAcrossAssignments)
     net::Payload moved = std::move(p);
     EXPECT_EQ(moved.data(), block);
     EXPECT_EQ(moved.size(), small.size());
-#endif
 }
 
 TEST(AllocFreeHotPath, PayloadSemanticsMatchVector)
