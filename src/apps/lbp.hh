@@ -56,9 +56,9 @@ struct LbpPair
 
 /**
  * Full-pipeline distances for a batch of pairs in one sweep,
- * reusing the code-image and histogram scratch buffers across the
- * batch (one batched kernel instead of 2B histogram kernels).
- * Element @p i is bit-identical to lbpDistance(pairs[i]...).
+ * reusing the histogram scratch buffers across the batch (one
+ * batched kernel instead of 2B histogram kernels). Element @p i is
+ * bit-identical to lbpDistance(pairs[i]...).
  */
 std::vector<double> lbpDistanceBatch(std::span<const LbpPair> pairs,
                                      int w, int h, int cells = 4);

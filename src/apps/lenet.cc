@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "sim/logging.hh"
 #include "sim/random.hh"
@@ -18,6 +19,121 @@ initWeights(std::vector<float> &w, std::size_t n, sim::Rng &rng,
     w.resize(n);
     for (auto &x : w)
         x = static_cast<float>((rng.uniform() * 2.0 - 1.0) * scale);
+}
+
+// The layer kernels. Each writes into a caller-owned buffer and
+// computes four outputs at a time along a contiguous output run (a
+// conv output row, a dense layer's outputs). Every output keeps its
+// own accumulation order, the bias then each tap in turn, because a
+// lane is one output: only the outputs are computed side by side.
+
+/** Four floats: one SSE register on x86-64, one NEON register on
+ *  aarch64. Arithmetic on it is lane-wise IEEE single precision. */
+typedef float F4 __attribute__((vector_size(16)));
+
+F4
+load4(const float *p)
+{
+    F4 v;
+    std::memcpy(&v, p, sizeof v);
+    return v;
+}
+
+/** acc[i] += x[i] * w for i < n: one multiply and one add per output,
+ *  as the scalar statement does (the build keeps them unfused). */
+void
+axpy(float *acc, const float *x, float w, int n)
+{
+    int i = 0;
+    for (; i + 4 <= n; i += 4) {
+        const F4 v = load4(acc + i) + load4(x + i) * w;
+        std::memcpy(acc + i, &v, sizeof v);
+    }
+    for (; i < n; ++i)
+        acc[i] += x[i] * w;
+}
+
+constexpr int kMaxRow = LeNet::imageDim;
+
+/**
+ * out[oc][oy][ox] = tanh(b[oc] + the sum over ic, ky, kx of
+ * in[ic][oy+ky-pad][ox+kx-pad] * w[oc][ic][ky][kx]), taps outside the
+ * input skipped. Each tap adds to the run of outputs it reaches.
+ */
+void
+conv2dTanh(const float *in, int inCh, int inDim, const float *w,
+           const float *b, int outCh, int k, int pad, float *out)
+{
+    const int outDim = inDim + 2 * pad - k + 1;
+    LYNX_ASSERT(outDim <= kMaxRow, "conv output row too wide");
+    float acc[kMaxRow];
+    for (int oc = 0; oc < outCh; ++oc) {
+        for (int oy = 0; oy < outDim; ++oy) {
+            std::fill(acc, acc + outDim, b[oc]);
+            for (int ic = 0; ic < inCh; ++ic) {
+                for (int ky = 0; ky < k; ++ky) {
+                    const int iy = oy + ky - pad;
+                    if (iy < 0 || iy >= inDim)
+                        continue;
+                    const float *row = in + (ic * inDim + iy) * inDim;
+                    const float *wk = w + ((oc * inCh + ic) * k + ky) * k;
+                    for (int kx = 0; kx < k; ++kx) {
+                        // ix = ox + kx - pad stays in [0, inDim).
+                        const int lo = std::max(0, pad - kx);
+                        const int hi = std::min(outDim, inDim + pad - kx);
+                        axpy(acc + lo, row + lo + kx - pad, wk[kx],
+                             hi - lo);
+                    }
+                }
+            }
+            float *o = out + (oc * outDim + oy) * outDim;
+            for (int ox = 0; ox < outDim; ++ox)
+                o[ox] = std::tanh(acc[ox]); // tanh, as in classic LeNet
+        }
+    }
+}
+
+void
+avgPool2(const float *in, int ch, int dim, float *out)
+{
+    const int outDim = dim / 2;
+    for (int c = 0; c < ch; ++c) {
+        for (int y = 0; y < outDim; ++y) {
+            const float *r0 = in + (c * dim + 2 * y) * dim;
+            const float *r1 = r0 + dim;
+            float *o = out + (c * outDim + y) * outDim;
+            for (int x = 0; x < outDim; ++x)
+                o[x] = (r0[2 * x] + r0[2 * x + 1] + r1[2 * x] +
+                        r1[2 * x + 1]) *
+                       0.25f;
+        }
+    }
+}
+
+/** out[o] = b[o] + the sum over ascending i of in[i] * wT[i][o],
+ *  then tanh if @p activate. */
+void
+dense(const float *in, int inN, const float *wT, const float *b,
+      int outN, bool activate, float *out)
+{
+    std::copy(b, b + outN, out);
+    for (int i = 0; i < inN; ++i)
+        axpy(out, wT + static_cast<std::size_t>(i) * outN, in[i], outN);
+    if (activate)
+        for (int o = 0; o < outN; ++o)
+            out[o] = std::tanh(out[o]);
+}
+
+/** @return @p w ([out][in]) transposed to [in][out]. */
+std::vector<float>
+transposed(const std::vector<float> &w, std::size_t outN)
+{
+    const std::size_t inN = w.size() / outN;
+    std::vector<float> t(w.size());
+    for (std::size_t o = 0; o < outN; ++o)
+        for (std::size_t i = 0; i < inN; ++i)
+            t[i * outN + o] = w[o * inN + i];
+    return t;
 }
 
 } // namespace
@@ -40,241 +156,70 @@ LeNetParams::random(std::uint64_t seed)
     return p;
 }
 
-namespace lenet_detail {
+LeNet::LeNet(std::uint64_t seed) : LeNet(LeNetParams::random(seed)) {}
+
+LeNet::LeNet(LeNetParams params) : params_(std::move(params))
+{
+    params_.fc1W = transposed(params_.fc1W, params_.fc1B.size());
+    params_.fc2W = transposed(params_.fc2W, params_.fc2B.size());
+    params_.fc3W = transposed(params_.fc3W, params_.fc3B.size());
+}
 
 void
-conv2d(const std::vector<float> &in, int inCh, int inDim,
-       const std::vector<float> &w, const std::vector<float> &b,
-       int outCh, int k, int pad, std::vector<float> &out)
+LeNet::forwardInto(std::span<const std::uint8_t> image,
+                   LeNetActivations &a) const
 {
-    const int outDim = inDim + 2 * pad - k + 1;
-    out.assign(static_cast<std::size_t>(outCh) * outDim * outDim, 0.0f);
-    for (int oc = 0; oc < outCh; ++oc) {
-        for (int oy = 0; oy < outDim; ++oy) {
-            for (int ox = 0; ox < outDim; ++ox) {
-                float acc = b[static_cast<std::size_t>(oc)];
-                for (int ic = 0; ic < inCh; ++ic) {
-                    for (int ky = 0; ky < k; ++ky) {
-                        const int iy = oy + ky - pad;
-                        if (iy < 0 || iy >= inDim)
-                            continue;
-                        for (int kx = 0; kx < k; ++kx) {
-                            const int ix = ox + kx - pad;
-                            if (ix < 0 || ix >= inDim)
-                                continue;
-                            acc += in[static_cast<std::size_t>(
-                                       (ic * inDim + iy) * inDim + ix)] *
-                                   w[static_cast<std::size_t>(
-                                       ((oc * inCh + ic) * k + ky) * k +
-                                       kx)];
-                        }
-                    }
-                }
-                // tanh activation, as in the classic LeNet.
-                out[static_cast<std::size_t>(
-                    (oc * outDim + oy) * outDim + ox)] = std::tanh(acc);
-            }
-        }
+    LYNX_ASSERT(image.size() == imageBytes,
+                "LeNet expects a 28x28 grayscale image, got ",
+                image.size(), " bytes");
+    a.x.resize(imageBytes);
+    for (int i = 0; i < imageBytes; ++i)
+        a.x[static_cast<std::size_t>(i)] =
+            static_cast<float>(image[static_cast<std::size_t>(i)]) /
+                255.0f -
+            0.5f;
+    a.c1.resize(6 * 28 * 28);
+    a.p1.resize(6 * 14 * 14);
+    a.c2.resize(16 * 10 * 10);
+    a.p2.resize(16 * 5 * 5);
+    a.f1.resize(120);
+    a.f2.resize(84);
+    a.logits.resize(numClasses);
+    a.probs.resize(numClasses);
+
+    const LeNetParams &p = params_;
+    conv2dTanh(a.x.data(), 1, 28, p.conv1W.data(), p.conv1B.data(), 6, 5,
+               2, a.c1.data());
+    avgPool2(a.c1.data(), 6, 28, a.p1.data());
+    conv2dTanh(a.p1.data(), 6, 14, p.conv2W.data(), p.conv2B.data(), 16,
+               5, 0, a.c2.data());
+    avgPool2(a.c2.data(), 16, 10, a.p2.data());
+    dense(a.p2.data(), 400, p.fc1W.data(), p.fc1B.data(), 120, true,
+          a.f1.data());
+    dense(a.f1.data(), 120, p.fc2W.data(), p.fc2B.data(), 84, true,
+          a.f2.data());
+    dense(a.f2.data(), 84, p.fc3W.data(), p.fc3B.data(), numClasses,
+          false, a.logits.data());
+
+    // Softmax.
+    const float mx = *std::max_element(a.logits.begin(), a.logits.end());
+    float sum = 0.0f;
+    for (int i = 0; i < numClasses; ++i) {
+        a.probs[static_cast<std::size_t>(i)] =
+            std::exp(a.logits[static_cast<std::size_t>(i)] - mx);
+        sum += a.probs[static_cast<std::size_t>(i)];
     }
+    for (auto &pr : a.probs)
+        pr /= sum;
 }
-
-void
-avgPool2(const std::vector<float> &in, int ch, int dim,
-         std::vector<float> &out)
-{
-    const int outDim = dim / 2;
-    out.assign(static_cast<std::size_t>(ch) * outDim * outDim, 0.0f);
-    for (int c = 0; c < ch; ++c) {
-        for (int y = 0; y < outDim; ++y) {
-            for (int x = 0; x < outDim; ++x) {
-                float s =
-                    in[static_cast<std::size_t>(
-                        (c * dim + 2 * y) * dim + 2 * x)] +
-                    in[static_cast<std::size_t>(
-                        (c * dim + 2 * y) * dim + 2 * x + 1)] +
-                    in[static_cast<std::size_t>(
-                        (c * dim + 2 * y + 1) * dim + 2 * x)] +
-                    in[static_cast<std::size_t>(
-                        (c * dim + 2 * y + 1) * dim + 2 * x + 1)];
-                out[static_cast<std::size_t>(
-                    (c * outDim + y) * outDim + x)] = s * 0.25f;
-            }
-        }
-    }
-}
-
-void
-dense(const std::vector<float> &in, const std::vector<float> &w,
-      const std::vector<float> &b, int outN, bool activate,
-      std::vector<float> &out)
-{
-    const std::size_t inN = in.size();
-    out.assign(static_cast<std::size_t>(outN), 0.0f);
-    for (int o = 0; o < outN; ++o) {
-        float acc = b[static_cast<std::size_t>(o)];
-        for (std::size_t i = 0; i < inN; ++i)
-            acc += in[i] * w[static_cast<std::size_t>(o) * inN + i];
-        out[static_cast<std::size_t>(o)] =
-            activate ? std::tanh(acc) : acc;
-    }
-}
-
-void
-normalize(std::span<const std::uint8_t> image, std::vector<float> &x)
-{
-    x.resize(image.size());
-    for (std::size_t i = 0; i < image.size(); ++i)
-        x[i] = static_cast<float>(image[i]) / 255.0f - 0.5f;
-}
-
-// Batched layer variants: activations are [B][ch*dim*dim] contiguous
-// and the batch loop is innermost, so each weight element is read
-// once and applied to all B images. The per-image accumulation order
-// (bias, then ic -> ky -> kx, or ascending i) matches the scalar
-// functions above exactly, which keeps float results bit-identical.
-
-void
-conv2dBatch(const std::vector<float> &in, int batch, int inCh,
-            int inDim, const std::vector<float> &w,
-            const std::vector<float> &b, int outCh, int k, int pad,
-            std::vector<float> &out, std::vector<float> &acc)
-{
-    const int outDim = inDim + 2 * pad - k + 1;
-    const std::size_t inSz = static_cast<std::size_t>(inCh) * inDim *
-                             inDim;
-    const std::size_t outSz = static_cast<std::size_t>(outCh) * outDim *
-                              outDim;
-    out.assign(static_cast<std::size_t>(batch) * outSz, 0.0f);
-    acc.resize(static_cast<std::size_t>(batch));
-    for (int oc = 0; oc < outCh; ++oc) {
-        for (int oy = 0; oy < outDim; ++oy) {
-            for (int ox = 0; ox < outDim; ++ox) {
-                std::fill(acc.begin(), acc.end(),
-                          b[static_cast<std::size_t>(oc)]);
-                for (int ic = 0; ic < inCh; ++ic) {
-                    for (int ky = 0; ky < k; ++ky) {
-                        const int iy = oy + ky - pad;
-                        if (iy < 0 || iy >= inDim)
-                            continue;
-                        for (int kx = 0; kx < k; ++kx) {
-                            const int ix = ox + kx - pad;
-                            if (ix < 0 || ix >= inDim)
-                                continue;
-                            const float wv = w[static_cast<std::size_t>(
-                                ((oc * inCh + ic) * k + ky) * k + kx)];
-                            const std::size_t at =
-                                static_cast<std::size_t>(
-                                    (ic * inDim + iy) * inDim + ix);
-                            for (int bi = 0; bi < batch; ++bi)
-                                acc[static_cast<std::size_t>(bi)] +=
-                                    in[static_cast<std::size_t>(bi) *
-                                           inSz +
-                                       at] *
-                                    wv;
-                        }
-                    }
-                }
-                const std::size_t at = static_cast<std::size_t>(
-                    (oc * outDim + oy) * outDim + ox);
-                for (int bi = 0; bi < batch; ++bi)
-                    out[static_cast<std::size_t>(bi) * outSz + at] =
-                        std::tanh(acc[static_cast<std::size_t>(bi)]);
-            }
-        }
-    }
-}
-
-void
-avgPool2Batch(const std::vector<float> &in, int batch, int ch, int dim,
-              std::vector<float> &out)
-{
-    const int outDim = dim / 2;
-    const std::size_t inSz = static_cast<std::size_t>(ch) * dim * dim;
-    const std::size_t outSz = static_cast<std::size_t>(ch) * outDim *
-                              outDim;
-    out.assign(static_cast<std::size_t>(batch) * outSz, 0.0f);
-    for (int c = 0; c < ch; ++c) {
-        for (int y = 0; y < outDim; ++y) {
-            for (int x = 0; x < outDim; ++x) {
-                for (int bi = 0; bi < batch; ++bi) {
-                    const float *img =
-                        in.data() + static_cast<std::size_t>(bi) * inSz;
-                    float s = img[static_cast<std::size_t>(
-                                  (c * dim + 2 * y) * dim + 2 * x)] +
-                              img[static_cast<std::size_t>(
-                                  (c * dim + 2 * y) * dim + 2 * x + 1)] +
-                              img[static_cast<std::size_t>(
-                                  (c * dim + 2 * y + 1) * dim + 2 * x)] +
-                              img[static_cast<std::size_t>(
-                                  (c * dim + 2 * y + 1) * dim + 2 * x +
-                                  1)];
-                    out[static_cast<std::size_t>(bi) * outSz +
-                        static_cast<std::size_t>(
-                            (c * outDim + y) * outDim + x)] = s * 0.25f;
-                }
-            }
-        }
-    }
-}
-
-void
-denseBatch(const std::vector<float> &in, int batch, std::size_t inN,
-           const std::vector<float> &w, const std::vector<float> &b,
-           int outN, bool activate, std::vector<float> &out,
-           std::vector<float> &acc)
-{
-    out.assign(static_cast<std::size_t>(batch) * outN, 0.0f);
-    acc.resize(static_cast<std::size_t>(batch));
-    for (int o = 0; o < outN; ++o) {
-        std::fill(acc.begin(), acc.end(),
-                  b[static_cast<std::size_t>(o)]);
-        for (std::size_t i = 0; i < inN; ++i) {
-            const float wv = w[static_cast<std::size_t>(o) * inN + i];
-            for (int bi = 0; bi < batch; ++bi)
-                acc[static_cast<std::size_t>(bi)] +=
-                    in[static_cast<std::size_t>(bi) * inN + i] * wv;
-        }
-        for (int bi = 0; bi < batch; ++bi)
-            out[static_cast<std::size_t>(bi) * outN +
-                static_cast<std::size_t>(o)] =
-                activate ? std::tanh(acc[static_cast<std::size_t>(bi)])
-                         : acc[static_cast<std::size_t>(bi)];
-    }
-}
-
-} // namespace lenet_detail
 
 std::array<float, LeNet::numClasses>
 LeNet::forward(std::span<const std::uint8_t> image) const
 {
-    using namespace lenet_detail;
-    LYNX_ASSERT(image.size() == imageBytes,
-                "LeNet expects a 28x28 grayscale image, got ",
-                image.size(), " bytes");
-    std::vector<float> x;
-    normalize(image, x);
-
-    const LeNetParams &p = params_;
-    std::vector<float> c1, p1, c2, p2, f1, f2, logits;
-    conv2d(x, 1, 28, p.conv1W, p.conv1B, 6, 5, 2, c1);   // 6x28x28
-    avgPool2(c1, 6, 28, p1);                             // 6x14x14
-    conv2d(p1, 6, 14, p.conv2W, p.conv2B, 16, 5, 0, c2); // 16x10x10
-    avgPool2(c2, 16, 10, p2);                            // 16x5x5
-    dense(p2, p.fc1W, p.fc1B, 120, true, f1);
-    dense(f1, p.fc2W, p.fc2B, 84, true, f2);
-    dense(f2, p.fc3W, p.fc3B, 10, false, logits);
-
-    // Softmax.
-    float mx = *std::max_element(logits.begin(), logits.end());
+    LeNetActivations a;
+    forwardInto(image, a);
     std::array<float, numClasses> probs{};
-    float sum = 0.0f;
-    for (int i = 0; i < numClasses; ++i) {
-        probs[static_cast<std::size_t>(i)] =
-            std::exp(logits[static_cast<std::size_t>(i)] - mx);
-        sum += probs[static_cast<std::size_t>(i)];
-    }
-    for (auto &pr : probs)
-        pr /= sum;
+    std::copy(a.probs.begin(), a.probs.end(), probs.begin());
     return probs;
 }
 
@@ -290,46 +235,11 @@ std::vector<std::array<float, LeNet::numClasses>>
 LeNet::forwardBatch(
     std::span<const std::span<const std::uint8_t>> images) const
 {
-    using namespace lenet_detail;
-    const int batch = static_cast<int>(images.size());
-    std::vector<float> x(static_cast<std::size_t>(batch) * imageBytes);
-    for (int bi = 0; bi < batch; ++bi) {
-        const auto &img = images[static_cast<std::size_t>(bi)];
-        LYNX_ASSERT(img.size() == imageBytes,
-                    "LeNet expects a 28x28 grayscale image, got ",
-                    img.size(), " bytes");
-        for (std::size_t i = 0; i < img.size(); ++i)
-            x[static_cast<std::size_t>(bi) * imageBytes + i] =
-                static_cast<float>(img[i]) / 255.0f - 0.5f;
-    }
-
-    const LeNetParams &p = params_;
-    std::vector<float> c1, p1, c2, p2, f1, f2, logits, acc;
-    conv2dBatch(x, batch, 1, 28, p.conv1W, p.conv1B, 6, 5, 2, c1, acc);
-    avgPool2Batch(c1, batch, 6, 28, p1);
-    conv2dBatch(p1, batch, 6, 14, p.conv2W, p.conv2B, 16, 5, 0, c2,
-                acc);
-    avgPool2Batch(c2, batch, 16, 10, p2);
-    denseBatch(p2, batch, 400, p.fc1W, p.fc1B, 120, true, f1, acc);
-    denseBatch(f1, batch, 120, p.fc2W, p.fc2B, 84, true, f2, acc);
-    denseBatch(f2, batch, 84, p.fc3W, p.fc3B, 10, false, logits, acc);
-
-    std::vector<std::array<float, numClasses>> out(
-        static_cast<std::size_t>(batch));
-    for (int bi = 0; bi < batch; ++bi) {
-        const float *lg =
-            logits.data() + static_cast<std::size_t>(bi) * numClasses;
-        float mx = *std::max_element(lg, lg + numClasses);
-        std::array<float, numClasses> &probs =
-            out[static_cast<std::size_t>(bi)];
-        float sum = 0.0f;
-        for (int i = 0; i < numClasses; ++i) {
-            probs[static_cast<std::size_t>(i)] =
-                std::exp(lg[i] - mx);
-            sum += probs[static_cast<std::size_t>(i)];
-        }
-        for (auto &pr : probs)
-            pr /= sum;
+    std::vector<std::array<float, numClasses>> out(images.size());
+    LeNetActivations a;
+    for (std::size_t i = 0; i < images.size(); ++i) {
+        forwardInto(images[i], a);
+        std::copy(a.probs.begin(), a.probs.end(), out[i].begin());
     }
     return out;
 }

@@ -48,6 +48,20 @@ struct LeNetParams
     static LeNetParams random(std::uint64_t seed);
 };
 
+/**
+ * Every layer's output of one forward pass, in caller-owned buffers
+ * that LeNet::forwardInto() sizes on first use and then reuses.
+ */
+struct LeNetActivations
+{
+    std::vector<float> x;      ///< 1x28x28 normalized input
+    std::vector<float> c1, p1; ///< 6x28x28 conv+tanh, 6x14x14 pool
+    std::vector<float> c2, p2; ///< 16x10x10 conv+tanh, 16x5x5 pool
+    std::vector<float> f1, f2; ///< 120 and 84, dense+tanh
+    std::vector<float> logits; ///< 10, dense
+    std::vector<float> probs;  ///< 10, softmax of logits
+};
+
 /** LeNet-5 digit classifier (28×28 grayscale input, 10 classes). */
 class LeNet
 {
@@ -57,12 +71,10 @@ class LeNet
     static constexpr int numClasses = 10;
 
     /** Build the network with weights derived from @p seed. */
-    explicit LeNet(std::uint64_t seed = 0x1e4e7)
-        : params_(LeNetParams::random(seed))
-    {}
+    explicit LeNet(std::uint64_t seed = 0x1e4e7);
 
     /** Build the network from (e.g. trained) parameters. */
-    explicit LeNet(LeNetParams params) : params_(std::move(params)) {}
+    explicit LeNet(LeNetParams params);
 
     /**
      * Run the full forward pass.
@@ -76,12 +88,24 @@ class LeNet
     int classify(std::span<const std::uint8_t> image) const;
 
     /**
-     * Run the forward pass over a batch of images in one sweep: every
-     * layer iterates its weights once and applies each weight to all
-     * B images while it is hot (the batch dimension is the innermost
-     * loop), the way one batched kernel replaces B per-image kernels.
-     * Per-image accumulation order is unchanged, so element @p b of
-     * the result is bit-identical to forward(@p images[b]).
+     * The one forward pass: run @p image through every layer, keeping
+     * each layer's output in @p a (the trainer backpropagates through
+     * them). Every output accumulates in a fixed order: the bias
+     * first, then the taps in input-channel, kernel-row, kernel-column
+     * order (a dense layer: ascending input index), skipping the taps
+     * that fall outside the input. The kernels compute four outputs at
+     * once without changing that order, so every float is the one the
+     * plain nested loops give.
+     */
+    void forwardInto(std::span<const std::uint8_t> image,
+                     LeNetActivations &a) const;
+
+    /**
+     * Run the forward pass over a batch of images: forwardInto() on
+     * each image with one set of scratch buffers, the host-side
+     * compute behind one batched kernel launch (the simulated batch
+     * time is Gpu::batchedLaunch's). Element @p b of the result is
+     * bit-identical to forward(@p images[b]).
      */
     std::vector<std::array<float, numClasses>>
     forwardBatch(std::span<const std::span<const std::uint8_t>> images)
@@ -92,10 +116,10 @@ class LeNet
     classifyBatch(std::span<const std::span<const std::uint8_t>> images)
         const;
 
-    /** @return the parameters. */
-    const LeNetParams &params() const { return params_; }
-
   private:
+    // The parameters with fc1W, fc2W and fc3W transposed to [in][out],
+    // so the dense kernel runs along the outputs. Laid out once here
+    // (the network is immutable) and held once: no second copy.
     LeNetParams params_;
 };
 

@@ -36,42 +36,6 @@ axpy(std::vector<float> &x, const std::vector<float> &g, float a)
         x[i] += a * g[i];
 }
 
-/** Forward conv + tanh, keeping the activated output. */
-void
-convForward(const std::vector<float> &in, int inCh, int inDim,
-            const std::vector<float> &w, const std::vector<float> &b,
-            int outCh, int k, int pad, std::vector<float> &out)
-{
-    const int outDim = inDim + 2 * pad - k + 1;
-    out.assign(static_cast<std::size_t>(outCh) * outDim * outDim, 0.0f);
-    for (int oc = 0; oc < outCh; ++oc) {
-        for (int oy = 0; oy < outDim; ++oy) {
-            for (int ox = 0; ox < outDim; ++ox) {
-                float acc = b[static_cast<std::size_t>(oc)];
-                for (int ic = 0; ic < inCh; ++ic) {
-                    for (int ky = 0; ky < k; ++ky) {
-                        const int iy = oy + ky - pad;
-                        if (iy < 0 || iy >= inDim)
-                            continue;
-                        for (int kx = 0; kx < k; ++kx) {
-                            const int ix = ox + kx - pad;
-                            if (ix < 0 || ix >= inDim)
-                                continue;
-                            acc += in[static_cast<std::size_t>(
-                                       (ic * inDim + iy) * inDim + ix)] *
-                                   w[static_cast<std::size_t>(
-                                       ((oc * inCh + ic) * k + ky) * k +
-                                       kx)];
-                        }
-                    }
-                }
-                out[static_cast<std::size_t>(
-                    (oc * outDim + oy) * outDim + ox)] = std::tanh(acc);
-            }
-        }
-    }
-}
-
 /**
  * Backward through conv+tanh: given d(out) and the activated out,
  * accumulate dW/dB and produce d(in).
@@ -122,25 +86,6 @@ convBackward(const std::vector<float> &in, int inCh, int inDim,
 }
 
 void
-poolForward(const std::vector<float> &in, int ch, int dim,
-            std::vector<float> &out)
-{
-    const int outDim = dim / 2;
-    out.assign(static_cast<std::size_t>(ch) * outDim * outDim, 0.0f);
-    for (int c = 0; c < ch; ++c)
-        for (int y = 0; y < outDim; ++y)
-            for (int x = 0; x < outDim; ++x) {
-                float s = 0;
-                for (int dy = 0; dy < 2; ++dy)
-                    for (int dx = 0; dx < 2; ++dx)
-                        s += in[static_cast<std::size_t>(
-                            (c * dim + 2 * y + dy) * dim + 2 * x + dx)];
-                out[static_cast<std::size_t>(
-                    (c * outDim + y) * outDim + x)] = s * 0.25f;
-            }
-}
-
-void
 poolBackward(int ch, int dim, const std::vector<float> &dOut,
              std::vector<float> &dIn)
 {
@@ -159,22 +104,6 @@ poolBackward(int ch, int dim, const std::vector<float> &dOut,
                             (c * dim + 2 * y + dy) * dim + 2 * x +
                             dx)] = g;
             }
-}
-
-void
-denseForward(const std::vector<float> &in, const std::vector<float> &w,
-             const std::vector<float> &b, int outN, bool activate,
-             std::vector<float> &out)
-{
-    const std::size_t inN = in.size();
-    out.assign(static_cast<std::size_t>(outN), 0.0f);
-    for (int o = 0; o < outN; ++o) {
-        float acc = b[static_cast<std::size_t>(o)];
-        for (std::size_t i = 0; i < inN; ++i)
-            acc += in[i] * w[static_cast<std::size_t>(o) * inN + i];
-        out[static_cast<std::size_t>(o)] =
-            activate ? std::tanh(acc) : acc;
-    }
 }
 
 /**
@@ -208,41 +137,15 @@ denseBackward(const std::vector<float> &in, const std::vector<float> &w,
 } // namespace
 
 double
-LeNetTrainer::backprop(const LenetExample &ex, LeNetParams &g) const
+LeNetTrainer::backprop(const LeNet &net, const LenetExample &ex,
+                       LeNetActivations &a, LeNetParams &g) const
 {
-    LYNX_ASSERT(ex.image.size() == LeNet::imageBytes &&
-                    ex.label >= 0 && ex.label < 10,
-                "bad training example");
+    LYNX_ASSERT(ex.label >= 0 && ex.label < 10, "bad training example");
     const LeNetParams &p = params_;
 
-    // ---- forward with caches ----
-    std::vector<float> x(LeNet::imageBytes);
-    for (int i = 0; i < LeNet::imageBytes; ++i)
-        x[static_cast<std::size_t>(i)] =
-            static_cast<float>(ex.image[static_cast<std::size_t>(i)]) /
-                255.0f -
-            0.5f;
-
-    std::vector<float> c1, p1, c2, p2, f1, f2, logits;
-    convForward(x, 1, 28, p.conv1W, p.conv1B, 6, 5, 2, c1);
-    poolForward(c1, 6, 28, p1);
-    convForward(p1, 6, 14, p.conv2W, p.conv2B, 16, 5, 0, c2);
-    poolForward(c2, 16, 10, p2);
-    denseForward(p2, p.fc1W, p.fc1B, 120, true, f1);
-    denseForward(f1, p.fc2W, p.fc2B, 84, true, f2);
-    denseForward(f2, p.fc3W, p.fc3B, 10, false, logits);
-
-    // Softmax + cross-entropy.
-    float mx = *std::max_element(logits.begin(), logits.end());
-    std::vector<float> probs(10);
-    float sum = 0;
-    for (int i = 0; i < 10; ++i) {
-        probs[static_cast<std::size_t>(i)] =
-            std::exp(logits[static_cast<std::size_t>(i)] - mx);
-        sum += probs[static_cast<std::size_t>(i)];
-    }
-    for (auto &q : probs)
-        q /= sum;
+    // ---- forward, keeping every layer's output ----
+    net.forwardInto(ex.image, a);
+    const std::vector<float> &probs = a.probs;
     double loss =
         -std::log(std::max(probs[static_cast<std::size_t>(ex.label)],
                            1e-12f));
@@ -252,14 +155,14 @@ LeNetTrainer::backprop(const LenetExample &ex, LeNetParams &g) const
     dLogits[static_cast<std::size_t>(ex.label)] -= 1.0f;
 
     std::vector<float> dF2, dF1, dP2, dC2, dP1, dC1, dX;
-    denseBackward(f2, p.fc3W, nullptr, dLogits, g.fc3W, g.fc3B, dF2);
-    denseBackward(f1, p.fc2W, &f2, dF2, g.fc2W, g.fc2B, dF1);
-    denseBackward(p2, p.fc1W, &f1, dF1, g.fc1W, g.fc1B, dP2);
+    denseBackward(a.f2, p.fc3W, nullptr, dLogits, g.fc3W, g.fc3B, dF2);
+    denseBackward(a.f1, p.fc2W, &a.f2, dF2, g.fc2W, g.fc2B, dF1);
+    denseBackward(a.p2, p.fc1W, &a.f1, dF1, g.fc1W, g.fc1B, dP2);
     poolBackward(16, 10, dP2, dC2);
-    convBackward(p1, 6, 14, p.conv2W, 16, 5, 0, c2, dC2, g.conv2W,
+    convBackward(a.p1, 6, 14, p.conv2W, 16, 5, 0, a.c2, dC2, g.conv2W,
                  g.conv2B, dP1);
     poolBackward(6, 28, dP1, dC1);
-    convBackward(x, 1, 28, p.conv1W, 6, 5, 2, c1, dC1, g.conv1W,
+    convBackward(a.x, 1, 28, p.conv1W, 6, 5, 2, a.c1, dC1, g.conv1W,
                  g.conv1B, dX);
     return loss;
 }
@@ -269,9 +172,11 @@ LeNetTrainer::step(std::span<const LenetExample> batch, float lr)
 {
     LYNX_ASSERT(!batch.empty(), "empty batch");
     LeNetParams g = zerosLike(params_);
+    const LeNet net(params_);
+    LeNetActivations a;
     double loss = 0;
     for (const auto &ex : batch)
-        loss += backprop(ex, g);
+        loss += backprop(net, ex, a, g);
     const float scale = -lr / static_cast<float>(batch.size());
     axpy(params_.conv1W, g.conv1W, scale);
     axpy(params_.conv1B, g.conv1B, scale);

@@ -66,9 +66,11 @@ class LeNetTrainer
     const LeNetParams &params() const { return params_; }
 
   private:
-    /** Forward with caches + backward for one example; accumulates
-     *  gradients into @p grads. @return the example's loss. */
-    double backprop(const LenetExample &ex, LeNetParams &grads) const;
+    /** Forward through @p net (built from params_) into @p acts, then
+     *  backward for one example; accumulates gradients into @p grads.
+     *  @return the example's loss. */
+    double backprop(const LeNet &net, const LenetExample &ex,
+                    LeNetActivations &acts, LeNetParams &grads) const;
 
     LeNetParams params_;
 };

@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "apps/lbp.hh"
+#include "sim/random.hh"
 #include "workload/datagen.hh"
 
 using namespace lynx::apps;
@@ -76,6 +79,61 @@ TEST(Lbp, VerifyThresholdSeparates)
     double threshold = (genuine + fraud) / 2;
     EXPECT_TRUE(lbpVerify(probe, enrolled, 32, 32, threshold));
     EXPECT_FALSE(lbpVerify(probe, impostor, 32, 32, threshold));
+}
+
+namespace {
+
+/** @return the per-cell histograms of lbpCodes(), the clamped
+ *  reference, binned the way lbpHistogram documents. */
+std::vector<std::uint32_t>
+histogramOfCodes(const std::vector<std::uint8_t> &img, int w, int h,
+                 int cells)
+{
+    auto codes = lbpCodes(img, w, h);
+    std::vector<std::uint32_t> hist(
+        static_cast<std::size_t>(cells) * cells * 256, 0);
+    for (int y = 0; y < h; ++y)
+        for (int x = 0; x < w; ++x) {
+            const int cy = std::min(y * cells / h, cells - 1);
+            const int cx = std::min(x * cells / w, cells - 1);
+            ++hist[(static_cast<std::size_t>(cy) * cells + cx) * 256 +
+                   codes[static_cast<std::size_t>(y) * w + x]];
+        }
+    return hist;
+}
+
+} // namespace
+
+TEST(Lbp, HistogramMatchesClampedCodesOnEveryShape)
+{
+    // Shapes where the one-pixel border is all (3x3), most (4x4) or a
+    // large part (16x7) of the image, and the served 32x32.
+    lynx::sim::Rng rng(17);
+    const std::pair<int, int> shapes[] = {{3, 3}, {4, 4}, {16, 7},
+                                          {7, 16}, {32, 32}};
+    for (auto [w, h] : shapes) {
+        const std::size_t n = static_cast<std::size_t>(w) * h;
+        std::vector<std::vector<std::uint8_t>> images;
+        std::vector<std::uint8_t> noise(n), face(n);
+        for (auto &px : noise)
+            px = static_cast<std::uint8_t>(rng.below(256));
+        // A face crop: the synthetic face's top-left w x h pixels.
+        const auto full = synthFace(4, 2);
+        for (int y = 0; y < h; ++y)
+            for (int x = 0; x < w; ++x)
+                face[static_cast<std::size_t>(y) * w + x] =
+                    full[static_cast<std::size_t>(y) * 32 + x];
+        images.push_back(noise);
+        images.push_back(face);
+        images.emplace_back(n, 0);
+        images.emplace_back(n, 200);
+        for (int cells = 1; cells <= std::min({4, w, h}); ++cells)
+            for (std::size_t i = 0; i < images.size(); ++i)
+                EXPECT_EQ(lbpHistogram(images[i], w, h, cells),
+                          histogramOfCodes(images[i], w, h, cells))
+                    << w << "x" << h << ", cells " << cells
+                    << ", image " << i;
+    }
 }
 
 TEST(LbpDeath, SizeMismatchPanics)

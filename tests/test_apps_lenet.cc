@@ -1,18 +1,24 @@
 /**
  * @file
  * Tests for the LeNet-5 forward pass: shape checks, softmax
- * invariants, determinism, and input sensitivity.
+ * invariants, determinism, input sensitivity, and every layer's
+ * floats against plain reference loops.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <set>
 
 #include "apps/lenet.hh"
+#include "sim/random.hh"
 #include "workload/datagen.hh"
 
 using lynx::apps::LeNet;
+using lynx::apps::LeNetActivations;
+using lynx::apps::LeNetParams;
 using lynx::workload::synthMnist;
 
 TEST(LeNet, SoftmaxIsAProbabilityDistribution)
@@ -91,6 +97,175 @@ TEST(LeNet, BlankAndFullImagesProduceFiniteOutputs)
         auto p = net.forward(img);
         for (float v : p)
             EXPECT_TRUE(std::isfinite(v));
+    }
+}
+
+/*
+ * ----- The kernels against plain loops -----
+ *
+ * The reference is the forward pass written as plain nested loops,
+ * one output at a time: the bias, then every in-range tap in
+ * input-channel, kernel-row, kernel-column order (a dense layer:
+ * ascending input index). The kernels must give the very same floats
+ * on any host, so the comparison is bit for bit against this code
+ * built with the same flags, never against recorded digests (tanhf
+ * and expf bits may differ between libm versions).
+ */
+
+namespace {
+
+namespace reference {
+
+void
+conv2d(const std::vector<float> &in, int inCh, int inDim,
+       const std::vector<float> &w, const std::vector<float> &b,
+       int outCh, int k, int pad, std::vector<float> &out)
+{
+    const int outDim = inDim + 2 * pad - k + 1;
+    out.assign(static_cast<std::size_t>(outCh) * outDim * outDim, 0.0f);
+    for (int oc = 0; oc < outCh; ++oc) {
+        for (int oy = 0; oy < outDim; ++oy) {
+            for (int ox = 0; ox < outDim; ++ox) {
+                float acc = b[static_cast<std::size_t>(oc)];
+                for (int ic = 0; ic < inCh; ++ic) {
+                    for (int ky = 0; ky < k; ++ky) {
+                        const int iy = oy + ky - pad;
+                        if (iy < 0 || iy >= inDim)
+                            continue;
+                        for (int kx = 0; kx < k; ++kx) {
+                            const int ix = ox + kx - pad;
+                            if (ix < 0 || ix >= inDim)
+                                continue;
+                            acc += in[static_cast<std::size_t>(
+                                       (ic * inDim + iy) * inDim + ix)] *
+                                   w[static_cast<std::size_t>(
+                                       ((oc * inCh + ic) * k + ky) * k +
+                                       kx)];
+                        }
+                    }
+                }
+                out[static_cast<std::size_t>(
+                    (oc * outDim + oy) * outDim + ox)] = std::tanh(acc);
+            }
+        }
+    }
+}
+
+void
+avgPool2(const std::vector<float> &in, int ch, int dim,
+         std::vector<float> &out)
+{
+    const int outDim = dim / 2;
+    out.assign(static_cast<std::size_t>(ch) * outDim * outDim, 0.0f);
+    auto at = [&](int c, int y, int x) {
+        return in[static_cast<std::size_t>((c * dim + y) * dim + x)];
+    };
+    for (int c = 0; c < ch; ++c)
+        for (int y = 0; y < outDim; ++y)
+            for (int x = 0; x < outDim; ++x)
+                out[static_cast<std::size_t>(
+                    (c * outDim + y) * outDim + x)] =
+                    (at(c, 2 * y, 2 * x) + at(c, 2 * y, 2 * x + 1) +
+                     at(c, 2 * y + 1, 2 * x) +
+                     at(c, 2 * y + 1, 2 * x + 1)) *
+                    0.25f;
+}
+
+void
+dense(const std::vector<float> &in, const std::vector<float> &w,
+      const std::vector<float> &b, int outN, bool activate,
+      std::vector<float> &out)
+{
+    const std::size_t inN = in.size();
+    out.assign(static_cast<std::size_t>(outN), 0.0f);
+    for (int o = 0; o < outN; ++o) {
+        float acc = b[static_cast<std::size_t>(o)];
+        for (std::size_t i = 0; i < inN; ++i)
+            acc += in[i] * w[static_cast<std::size_t>(o) * inN + i];
+        out[static_cast<std::size_t>(o)] =
+            activate ? std::tanh(acc) : acc;
+    }
+}
+
+/** The whole forward pass over parameters in their [out][in] layout. */
+LeNetActivations
+forward(const LeNetParams &p, const std::vector<std::uint8_t> &image)
+{
+    LeNetActivations a;
+    for (std::uint8_t px : image)
+        a.x.push_back(static_cast<float>(px) / 255.0f - 0.5f);
+    conv2d(a.x, 1, 28, p.conv1W, p.conv1B, 6, 5, 2, a.c1);
+    avgPool2(a.c1, 6, 28, a.p1);
+    conv2d(a.p1, 6, 14, p.conv2W, p.conv2B, 16, 5, 0, a.c2);
+    avgPool2(a.c2, 16, 10, a.p2);
+    dense(a.p2, p.fc1W, p.fc1B, 120, true, a.f1);
+    dense(a.f1, p.fc2W, p.fc2B, 84, true, a.f2);
+    dense(a.f2, p.fc3W, p.fc3B, 10, false, a.logits);
+    const float mx = *std::max_element(a.logits.begin(), a.logits.end());
+    float sum = 0.0f;
+    for (float l : a.logits) {
+        a.probs.push_back(std::exp(l - mx));
+        sum += a.probs.back();
+    }
+    for (auto &q : a.probs)
+        q /= sum;
+    return a;
+}
+
+} // namespace reference
+
+/** @return whether @p a and @p b hold the same float bits. */
+bool
+sameBits(const std::vector<float> &a, const std::vector<float> &b)
+{
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+} // namespace
+
+TEST(LeNetKernels, EveryLayerBitIdenticalToPlainLoops)
+{
+    std::vector<std::vector<std::uint8_t>> images;
+    for (std::uint64_t variant : {0u, 7u, 1234u})
+        for (int d = 0; d < 10; ++d)
+            images.push_back(synthMnist(d, variant));
+    lynx::sim::Rng rng(99);
+    for (int n = 0; n < 4; ++n) {
+        std::vector<std::uint8_t> noise(LeNet::imageBytes);
+        for (auto &px : noise)
+            px = static_cast<std::uint8_t>(rng.below(256));
+        images.push_back(std::move(noise));
+    }
+    images.emplace_back(LeNet::imageBytes, 0);
+    images.emplace_back(LeNet::imageBytes, 255);
+
+    for (std::uint64_t seed : {0x1e4e7ull, 3ull}) {
+        const LeNetParams params = LeNetParams::random(seed);
+        const LeNet net(params);
+        LeNetActivations got;
+        for (std::size_t i = 0; i < images.size(); ++i) {
+            const LeNetActivations want =
+                reference::forward(params, images[i]);
+            net.forwardInto(images[i], got);
+            const std::pair<const char *,
+                            std::vector<float> LeNetActivations::*>
+                layers[] = {{"c1", &LeNetActivations::c1},
+                            {"p1", &LeNetActivations::p1},
+                            {"c2", &LeNetActivations::c2},
+                            {"p2", &LeNetActivations::p2},
+                            {"f1", &LeNetActivations::f1},
+                            {"f2", &LeNetActivations::f2},
+                            {"logits", &LeNetActivations::logits},
+                            {"probs", &LeNetActivations::probs}};
+            for (const auto &[name, layer] : layers)
+                EXPECT_TRUE(sameBits(got.*layer, want.*layer))
+                    << name << ", image " << i << ", seed " << seed;
+            const auto probs = net.forward(images[i]);
+            EXPECT_TRUE(sameBits({probs.begin(), probs.end()},
+                                 want.probs))
+                << "forward(), image " << i << ", seed " << seed;
+        }
     }
 }
 

@@ -183,27 +183,31 @@ TEST(GpuBatching, OneItemBatchCostsExactlyTheScalarKernel)
 
 TEST(GpuBatching, LenetForwardBatchBitIdenticalToScalarForward)
 {
+    // forwardBatch and forward share one kernel, so this pins the
+    // batch plumbing (scratch reuse across images, result order); the
+    // kernel's own floats are pinned in test_apps_lenet.cc.
     apps::LeNet net;
-    std::vector<std::vector<std::uint8_t>> imgs;
-    for (int i = 0; i < 13; ++i)
-        imgs.push_back(workload::synthMnist(i % 10,
-                                            static_cast<std::uint64_t>(i)));
-    std::vector<std::span<const std::uint8_t>> spans(imgs.begin(),
-                                                     imgs.end());
-    auto batched = net.forwardBatch(spans);
-    ASSERT_EQ(batched.size(), imgs.size());
-    for (std::size_t i = 0; i < imgs.size(); ++i) {
-        auto scalar = net.forward(imgs[i]);
-        // Bit-exact: the batched loops preserve the per-image float
-        // accumulation order.
-        EXPECT_EQ(std::memcmp(batched[i].data(), scalar.data(),
-                              sizeof scalar),
-                  0)
-            << "image " << i;
+    for (int batch : {1, 3, 8, 13}) {
+        std::vector<std::vector<std::uint8_t>> imgs;
+        for (int i = 0; i < batch; ++i)
+            imgs.push_back(workload::synthMnist(
+                (i + batch) % 10, static_cast<std::uint64_t>(i)));
+        std::vector<std::span<const std::uint8_t>> spans(imgs.begin(),
+                                                         imgs.end());
+        auto batched = net.forwardBatch(spans);
+        ASSERT_EQ(batched.size(), imgs.size());
+        for (std::size_t i = 0; i < imgs.size(); ++i) {
+            auto scalar = net.forward(imgs[i]);
+            EXPECT_EQ(std::memcmp(batched[i].data(), scalar.data(),
+                                  sizeof scalar),
+                      0)
+                << "batch " << batch << ", image " << i;
+        }
+        auto digits = net.classifyBatch(spans);
+        for (std::size_t i = 0; i < imgs.size(); ++i)
+            EXPECT_EQ(digits[i], net.classify(imgs[i]))
+                << "batch " << batch << ", image " << i;
     }
-    auto digits = net.classifyBatch(spans);
-    for (std::size_t i = 0; i < imgs.size(); ++i)
-        EXPECT_EQ(digits[i], net.classify(imgs[i])) << "image " << i;
 }
 
 TEST(GpuBatching, LbpBatchBitIdenticalToScalar)
@@ -214,6 +218,20 @@ TEST(GpuBatching, LbpBatchBitIdenticalToScalar)
         enrolled.push_back(
             workload::synthFace(i % 3 == 0 ? i : i + 5, 0));
     }
+    // Noise and flat images, whose codes differ most from a face's
+    // at the clamped border.
+    sim::Rng rng(5);
+    for (int i = 0; i < 3; ++i) {
+        std::vector<std::uint8_t> noise(32 * 32);
+        for (auto &px : noise)
+            px = static_cast<std::uint8_t>(rng.below(256));
+        probes.push_back(noise);
+        enrolled.push_back(i == 0 ? noise : workload::synthFace(2, 0));
+    }
+    probes.emplace_back(32 * 32, 0);
+    enrolled.emplace_back(32 * 32, 255);
+    probes.emplace_back(32 * 32, 77);
+    enrolled.emplace_back(32 * 32, 77);
     std::vector<apps::LbpPair> pairs;
     for (std::size_t i = 0; i < probes.size(); ++i)
         pairs.push_back({probes[i], enrolled[i]});
@@ -221,6 +239,7 @@ TEST(GpuBatching, LbpBatchBitIdenticalToScalar)
     auto ver = apps::lbpVerifyBatch(pairs, 32, 32,
                                     apps::faceVerThreshold);
     ASSERT_EQ(dist.size(), pairs.size());
+    ASSERT_EQ(ver.size(), pairs.size());
     bool sawMatch = false, sawMismatch = false;
     for (std::size_t i = 0; i < pairs.size(); ++i) {
         EXPECT_EQ(dist[i],

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Record one point of the perf trajectory and compare it with the last.
+"""Record one point of the perf trajectory and gate it against the last ones.
 
     python3 tools/perf_trajectory.py [--note TEXT]
 
@@ -16,13 +16,16 @@ holds:
   - the host: cores, compiler, build type, and the git SHA (with
     "-dirty" when tracked files differ from it).
 
-It prints each metric's change against the last recorded line for the
-same workload and seed, and exits non-zero when a run fails a
-self-check, a simulated metric does not repeat, or an end-to-end metric
-is worse than that line by more than its BENCHMARK.json bound. Such a
-point is not appended, so the file holds only points that passed and a
-regression keeps failing until it is fixed. The CMake target `perf`
-runs the script.
+Each end-to-end metric is compared with the earlier lines for the same
+workload and seed: a host metric with the median of the last three
+(one lucky or unlucky point then neither blocks nor excuses a change),
+a simulated metric with the last line (it is exact, so any change is
+real). The script prints each change and exits non-zero when a run
+fails a self-check, a simulated metric does not repeat, or an
+end-to-end metric is worse than its baseline by more than its
+BENCHMARK.json bound. Such a point is not appended, so the file holds
+only points that passed and a regression keeps failing until it is
+fixed. The CMake target `perf` runs the script.
 """
 
 import argparse
@@ -41,6 +44,8 @@ REPORT = os.path.join(ROOT, "build", "perf", "lynx_bench.json")
 TRAJECTORY = os.path.join(ROOT, "bench", "trajectory", "lynx_bench.jsonl")
 SEEDS = (1, 97)
 REPS = 3
+# A host metric is gated against the median of this many earlier lines.
+BASELINE_LINES = 3
 
 
 def is_host_metric(name):
@@ -119,12 +124,24 @@ def value_of(line, name):
     return line["sim_metrics"].get(name)
 
 
-def compare(prev, line, bounds):
-    """Print the change per metric; @return the metrics past a bound."""
+def baseline(prior, name):
+    """@return what @p name is gated against, given the earlier lines
+    for the same workload and seed (oldest first), or None."""
+    if is_host_metric(name):
+        values = [v for v in (value_of(h, name)
+                              for h in prior[-BASELINE_LINES:])
+                  if v is not None]
+        return statistics.median(values) if values else None
+    return value_of(prior[-1], name) if prior else None
+
+
+def compare(prior, line, bounds):
+    """Print the change per metric against its baseline; @return the
+    metrics past a bound."""
     past = []
     for name, (better, bound) in bounds.items():
         new = value_of(line, name)
-        old = value_of(prev, name) if prev else None
+        old = baseline(prior, name)
         if new is None:
             continue
         if old is None:
@@ -160,14 +177,15 @@ def main():
         for seed in SEEDS:
             line, problems = record(workload, seed, bench["run_seconds"],
                                     args.note)
-            prev = next((h for h in reversed(history)
-                         if h["workload"] == workload and h["seed"] == seed),
-                        None)
+            prior = [h for h in history
+                     if h["workload"] == workload and h["seed"] == seed]
             print(f"{workload} seed {seed} ({line['git_sha']}"
-                  + (f" vs {prev['git_sha']}" if prev else ", first line")
+                  + (" vs " + ", ".join(h["git_sha"]
+                                        for h in prior[-BASELINE_LINES:])
+                     if prior else ", first line")
                   + ")")
             problems += [f"{m} past its bound"
-                         for m in compare(prev, line, bounds)]
+                         for m in compare(prior, line, bounds)]
             failures += [f"{workload} seed {seed}: {m}" for m in problems]
             if problems:
                 print("    not recorded")
