@@ -41,11 +41,17 @@ std::vector<std::uint8_t>
 kvEncodeGet(const std::string &key)
 {
     std::vector<std::uint8_t> buf;
+    kvAppendGet(key, buf);
+    return buf;
+}
+
+void
+kvAppendGet(std::string_view key, std::vector<std::uint8_t> &buf)
+{
     buf.push_back(static_cast<std::uint8_t>(KvOp::Get));
     putU16(buf, static_cast<std::uint16_t>(key.size()));
     buf.insert(buf.end(), key.begin(), key.end());
     putU32(buf, 0);
-    return buf;
 }
 
 std::vector<std::uint8_t>

@@ -21,6 +21,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -72,6 +73,8 @@ enum class KvOp : std::uint8_t { Get = 0, Set = 1 };
 enum class KvStatus : std::uint8_t { Ok = 0, Miss = 1, Malformed = 2 };
 
 std::vector<std::uint8_t> kvEncodeGet(const std::string &key);
+/** Append the kvEncodeGet() bytes of @p key to @p buf. */
+void kvAppendGet(std::string_view key, std::vector<std::uint8_t> &buf);
 std::vector<std::uint8_t> kvEncodeSet(const std::string &key,
                                       std::span<const std::uint8_t> value);
 

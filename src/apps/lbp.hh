@@ -33,11 +33,34 @@ std::vector<std::uint8_t> lbpCodes(std::span<const std::uint8_t> img,
 std::vector<std::uint32_t> lbpHistogram(std::span<const std::uint8_t> img,
                                         int w, int h, int cells = 4);
 
-/** Chi-square distance between two equal-length histograms. */
+/** Chi-square distance between two equal-length histograms: the sum
+ *  over ascending bins of (x-y)^2/(x+y), empty bins skipped. The dense
+ *  reference definition of the distance lbpDistance() computes. */
 double lbpChiSquare(const std::vector<std::uint32_t> &a,
                     const std::vector<std::uint32_t> &b);
 
-/** Full-pipeline distance between two images (0 = identical). */
+/**
+ * Caller-owned scratch of the LBP pair kernel, sized on first use and
+ * reused across pairs and calls: one row of codes, the two images'
+ * per-cell histograms, and one occupancy bit per bin, set by either
+ * image. Between pairs every bin and bitmap word is zero, because the
+ * chi-square sum clears what it visits, so a pair starts without
+ * clearing 32 KB of histograms.
+ */
+struct LbpScratch
+{
+    std::vector<std::uint8_t> codes;      ///< one row of LBP codes
+    std::vector<std::size_t> cellOff;     ///< column -> cell bin offset
+    std::vector<std::uint32_t> ha, hb;    ///< the pair's histograms
+    std::vector<std::uint64_t> occupied;  ///< bit i: bin i non-empty
+};
+
+/**
+ * Full-pipeline distance between two images (0 = identical):
+ * bit-identical to lbpChiSquare() of their lbpHistogram()s. It sums
+ * only the bins that are non-empty in either histogram, in ascending
+ * bin order, which are the only terms the dense sum adds.
+ */
 double lbpDistance(std::span<const std::uint8_t> a,
                    std::span<const std::uint8_t> b, int w, int h,
                    int cells = 4);
@@ -55,19 +78,28 @@ struct LbpPair
 };
 
 /**
- * Full-pipeline distances for a batch of pairs in one sweep,
- * reusing the histogram scratch buffers across the batch (one
- * batched kernel instead of 2B histogram kernels). Element @p i is
- * bit-identical to lbpDistance(pairs[i]...).
+ * Full-pipeline distances for a batch of pairs in one sweep over one
+ * scratch (one batched kernel instead of 2B histogram kernels).
+ * Element @p i is bit-identical to lbpDistance(pairs[i]...).
  */
 std::vector<double> lbpDistanceBatch(std::span<const LbpPair> pairs,
                                      int w, int h, int cells = 4);
+
+/** lbpDistanceBatch() into @p out, on the caller's @p scratch. */
+void lbpDistanceBatch(std::span<const LbpPair> pairs, int w, int h,
+                      int cells, LbpScratch &scratch,
+                      std::vector<double> &out);
 
 /** Batched lbpVerify(): element @p i is 1 iff pair @p i matches. */
 std::vector<std::uint8_t> lbpVerifyBatch(std::span<const LbpPair> pairs,
                                          int w, int h,
                                          double threshold = 50.0,
                                          int cells = 4);
+
+/** lbpVerifyBatch() into @p out, on the caller's @p scratch. */
+void lbpVerifyBatch(std::span<const LbpPair> pairs, int w, int h,
+                    double threshold, int cells, LbpScratch &scratch,
+                    std::vector<std::uint8_t> &out);
 
 } // namespace lynx::apps
 

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
 
 #include "apps/lbp.hh"
 #include "sim/random.hh"
@@ -134,6 +136,124 @@ TEST(Lbp, HistogramMatchesClampedCodesOnEveryShape)
                     << w << "x" << h << ", cells " << cells
                     << ", image " << i;
     }
+}
+
+namespace {
+
+/** @return whether @p x and @p y are the same double, bit for bit. */
+bool
+sameBits(double x, double y)
+{
+    return std::memcmp(&x, &y, sizeof x) == 0;
+}
+
+/** @return a @p w x @p h crop of synthetic face @p person, tiled
+ *  past its 32 x 32 pixels. */
+std::vector<std::uint8_t>
+faceCrop(std::uint32_t person, int w, int h)
+{
+    const auto full = synthFace(person, 2);
+    std::vector<std::uint8_t> img(static_cast<std::size_t>(w) * h);
+    for (int y = 0; y < h; ++y)
+        for (int x = 0; x < w; ++x)
+            img[static_cast<std::size_t>(y) * w + x] =
+                full[static_cast<std::size_t>(y % 32) * 32 + x % 32];
+    return img;
+}
+
+} // namespace
+
+TEST(Lbp, PairDistanceBitIdenticalToDenseChiSquare)
+{
+    // Widths whose interior (w - 2 pixels) holds no 16-pixel run (3,
+    // 4, 16, 17), exactly one (18), one and an overlapping tail (33)
+    // and two and a tail (40).
+    lynx::sim::Rng rng(29);
+    for (int w : {3, 4, 16, 17, 18, 33, 40}) {
+        for (int h = 3; h <= 32; ++h) {
+            const std::size_t n = static_cast<std::size_t>(w) * h;
+            std::vector<std::uint8_t> noise(n), noise2(n);
+            for (auto &px : noise)
+                px = static_cast<std::uint8_t>(rng.below(256));
+            for (auto &px : noise2)
+                px = static_cast<std::uint8_t>(rng.below(256));
+            const auto face = faceCrop(4, w, h);
+            const std::vector<std::uint8_t> zeros(n, 0), full(n, 255),
+                flat(n, 100);
+            const std::vector<LbpPair> pairs = {
+                {noise, face}, {face, noise2}, {noise, noise2},
+                {zeros, full}, {flat, noise},  {face, face}};
+            for (int cells = 1; cells <= std::min({4, w, h}); ++cells) {
+                std::vector<double> ref;
+                for (const LbpPair &p : pairs) {
+                    const std::vector<std::uint8_t> a(p.a.begin(),
+                                                      p.a.end());
+                    const std::vector<std::uint8_t> b(p.b.begin(),
+                                                      p.b.end());
+                    ref.push_back(
+                        lbpChiSquare(histogramOfCodes(a, w, h, cells),
+                                     histogramOfCodes(b, w, h, cells)));
+                }
+                const auto batch = lbpDistanceBatch(pairs, w, h, cells);
+                ASSERT_EQ(batch.size(), pairs.size());
+                for (std::size_t i = 0; i < pairs.size(); ++i) {
+                    SCOPED_TRACE(::testing::Message()
+                                 << w << "x" << h << ", cells " << cells
+                                 << ", pair " << i);
+                    EXPECT_TRUE(sameBits(
+                        lbpDistance(pairs[i].a, pairs[i].b, w, h, cells),
+                        ref[i]));
+                    EXPECT_TRUE(sameBits(batch[i], ref[i]));
+                    // Matches at the reference distance and not one ulp
+                    // below it: the distance is exactly the reference.
+                    const std::span<const LbpPair> one(&pairs[i], 1);
+                    EXPECT_EQ(lbpVerifyBatch(one, w, h, ref[i], cells)[0],
+                              1);
+                    EXPECT_EQ(lbpVerifyBatch(one, w, h,
+                                             std::nextafter(ref[i], -1.0),
+                                             cells)[0],
+                              0);
+                }
+            }
+        }
+    }
+}
+
+TEST(Lbp, ScratchReuseAcrossShapesMatchesFreshScratch)
+{
+    // One scratch runs a batch, a batch of another shape and grid,
+    // then the first batch again: every element must equal its
+    // fresh-scratch distance, so each pair left the scratch clear.
+    std::vector<std::vector<std::uint8_t>> faces, small;
+    for (std::uint32_t i = 0; i < 6; ++i) {
+        faces.push_back(synthFace(i, i % 3));
+        small.push_back(faceCrop(i, 17, 9));
+    }
+    std::vector<LbpPair> big, little;
+    for (std::size_t i = 0; i + 1 < faces.size(); ++i) {
+        big.push_back({faces[i], faces[i + 1]});
+        little.push_back({small[i + 1], small[i]});
+    }
+    LbpScratch scratch;
+    std::vector<double> out;
+    auto expectFresh = [&](const std::vector<LbpPair> &pairs, int w, int h,
+                           int cells) {
+        lbpDistanceBatch(pairs, w, h, cells, scratch, out);
+        ASSERT_EQ(out.size(), pairs.size());
+        for (std::size_t i = 0; i < pairs.size(); ++i)
+            EXPECT_TRUE(sameBits(
+                out[i], lbpDistance(pairs[i].a, pairs[i].b, w, h, cells)))
+                << w << "x" << h << ", cells " << cells << ", pair " << i;
+    };
+    expectFresh(big, 32, 32, 4);
+    expectFresh(little, 17, 9, 3);
+    expectFresh(big, 32, 32, 4);
+    // The verify form on the same scratch agrees with the distances.
+    std::vector<std::uint8_t> matched;
+    lbpVerifyBatch(big, 32, 32, 400.0, 4, scratch, matched);
+    ASSERT_EQ(matched.size(), big.size());
+    for (std::size_t i = 0; i < big.size(); ++i)
+        EXPECT_EQ(matched[i], lbpVerify(big[i].a, big[i].b, 32, 32, 400.0));
 }
 
 TEST(LbpDeath, SizeMismatchPanics)
